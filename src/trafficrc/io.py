@@ -101,6 +101,10 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _build_config(data):
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -154,9 +158,10 @@ def validate_config(cfg):
     _require(cfg.model in _MODELS, "model", f"must be one of {_MODELS}")
     _require(cfg.task in _TASKS, "task", f"must be one of {_TASKS}")
     _require(_is_int(cfg.n) and cfg.n >= 1, "n", "must be a positive integer")
-    _require(isinstance(cfg.link_length, (int, float)) and cfg.link_length > 0,
-             "link_length", "must be positive")
-    _require(cfg.total_vehicles > 0, "total_vehicles", "must be positive")
+    _require(_is_finite(cfg.link_length) and cfg.link_length > 0,
+             "link_length", "must be finite and positive")
+    _require(_is_finite(cfg.total_vehicles) and cfg.total_vehicles > 0,
+             "total_vehicles", "must be finite and positive")
     _require(cfg.init in _INITS, "init", f"must be one of {_INITS}")
     _require(_is_int(cfg.agents_per_link) and cfg.agents_per_link >= 0,
              "agents_per_link", "must be a nonnegative integer")
@@ -168,13 +173,15 @@ def validate_config(cfg):
     if isinstance(cfg.tau, tuple):
         _require(len(cfg.tau) == cfg.n * cfg.n, "tau",
                  "per-junction list must have n*n entries")
-        _require(all(v > 0 for v in cfg.tau), "tau", "must be positive")
+        _require(all(_is_finite(v) and v > 0 for v in cfg.tau), "tau",
+                 "must be finite and positive")
     else:
-        _require(cfg.tau > 0, "tau", "must be positive")
+        _require(_is_finite(cfg.tau) and cfg.tau > 0, "tau", "must be finite and positive")
     _require(cfg.phase_mode in _PHASE_MODES, "phase_mode",
              f"must be one of {_PHASE_MODES}")
     _require(_is_int(cfg.T) and cfg.T >= 0, "T", "must be a nonnegative integer")
-    _require(cfg.beta >= 0, "beta", "must be nonnegative")
+    _require(_is_finite(cfg.beta) and cfg.beta >= 0, "beta",
+             "must be finite and nonnegative")
     _require(0.0 <= cfg.p <= 1.0, "p", "must lie in [0, 1]")
     _require(_is_int(cfg.M) and cfg.M >= 0, "M", "must be a nonnegative integer")
     _require(_is_int(cfg.train) and cfg.train >= 1, "train", "must be >= 1")
@@ -196,7 +203,8 @@ def validate_config(cfg):
     _require(cfg.series_synth.period > 0, "series_synth", "period must be positive")
     _require(abs(cfg.series_synth.rho) < 1, "series_synth", "rho must lie in (-1, 1)")
     _require(cfg.series_synth.sigma >= 0, "series_synth", "sigma must be >= 0")
-    _require(cfg.sigma_in > 0, "sigma_in", "must be positive")
+    _require(_is_finite(cfg.sigma_in) and cfg.sigma_in > 0, "sigma_in",
+             "must be finite and positive")
     _require(_is_int(cfg.trial_average) and cfg.trial_average >= 1,
              "trial_average", "must be >= 1")
     if cfg.steps is not None:
@@ -382,21 +390,20 @@ def _write_csv(path, header, rows):
 
 
 def _trial_series_csv(path, result):
-    teacher = np.atleast_2d(result.teacher)
-    predicted = np.atleast_2d(result.predicted)
-    m, steps = teacher.shape
+    teacher = np.atleast_2d(np.asarray(result.teacher, dtype=float))
+    predicted = np.atleast_2d(np.asarray(result.predicted, dtype=float))
+    m = teacher.shape[0]
     if m == 1:
         header = ["t", "teacher", "predicted"]
     else:
         header = (["t"] + [f"teacher_{i}" for i in range(m)]
                   + [f"predicted_{i}" for i in range(m)])
-    rows = []
-    for s in range(steps):
-        row = [result.t0 + s]
-        row += [float(v) for v in teacher[:, s]]
-        row += [float(v) for v in predicted[:, s]]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    # tolist() yields Python floats, whose repr is the shortest round trip
+    rows = np.vstack([teacher, predicted]).T.tolist()
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, row in enumerate(rows, int(result.t0)):
+            fh.write(f"{t}," + ",".join(map(repr, row)) + "\n")
 
 
 def _manifest(out_dir, command, seed, cfg, outputs, notes=None):

@@ -6,7 +6,7 @@ import numpy as np
 
 __all__ = [
     "TWO_PI", "MODE_CONSTANT_RATE", "MODE_LITERAL",
-    "PhaseBank", "step_phases", "signal_state", "reservoir_observables",
+    "PhaseBank", "signal_state", "reservoir_observables",
     "link_go",
 ]
 
@@ -93,11 +93,6 @@ class PhaseBank:
         out.theta = self.theta.copy()
         out._input_acc = self._input_acc.copy()
         return out
-
-
-def step_phases(bank, t, u_ext=None):
-    """Advance a PhaseBank from step t to t+1 (see PhaseBank.step)."""
-    return bank.step(t, u_ext)
 
 
 def signal_state(theta, ns_stop_first=True):

@@ -11,13 +11,15 @@ Three tasks are implemented:
   phases and read the current series value back from the observables alone.
 
 Trials are paired through per-purpose rng streams derived from
-(seed, trial, stream id), so a parameter sweep re-runs the same random
-networks, initial states, and phases for every parameter value.
+(seed, trial, stream id), so every value of a parameter sweep sees the same
+random networks, initial states, and phases. Each experiment is a reservoir
+run (_simulate) followed by a task readout of its trajectory.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,12 +114,6 @@ def default_target_link(net):
     return net.link_index(net.junction_id(c, c), net.junction_id(c + 1, c))
 
 
-def _resolve_target(cfg, net):
-    if cfg.target_link is None:
-        return default_target_link(net)
-    return net.link_index(*cfg.target_link)
-
-
 def _phase_bank(cfg, rng_phase, rng_input=None):
     nj = cfg.n * cfg.n
     xi = rng_phase.uniform(0.0, TWO_PI, nj)
@@ -163,105 +159,99 @@ def lag_diagnostic(y, y_hat, max_lag):
     return best
 
 
-def _default_max_lag(cfg):
-    return max(2 * cfg.T, 10)
+def _score(cfg, trial, fdef, x, teacher):
+    """Fit on the training steps, score the test steps of teacher (1-d, or
+    (outputs, steps)); the lag is taken on the first non-constant output."""
+    tr = cfg.train
+    model = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta, fdef)
+    pred = predict(model, x[:, tr:])
+    test = teacher[..., tr:]
+    score = log_nrmse(test, pred)
+    t0 = _span(cfg)[1] + tr
+    max_lag = max(2 * cfg.T, 10)
+    if test.ndim == 1:
+        lag = lag_diagnostic(test, pred[0], max_lag)
+        return TrialResult(trial, cfg.seed, score, lag, test.copy(),
+                           pred[0].copy(), t0)
+    per_output, lag = [], None
+    for i in range(test.shape[0]):
+        try:
+            per_output.append(log_nrmse(test[i:i + 1], pred[i:i + 1]))
+        except ValueError:
+            per_output.append(None)
+            continue
+        if lag is None:
+            lag = lag_diagnostic(test[i], pred[i], max_lag)
+    return TrialResult(trial, cfg.seed, score, lag, test.copy(), pred.copy(),
+                       t0, per_output=tuple(per_output))
 
 
-def _score_and_lag(cfg, teacher, pred):
-    score = log_nrmse(teacher, pred)
-    lag = lag_diagnostic(np.atleast_2d(teacher)[0], np.atleast_2d(pred)[0],
-                         _default_max_lag(cfg))
-    return score, lag
+def _simulate(cfg, trial, steps, inputs=None):
+    """Build one trial's reservoir from its rng streams and run it `steps` steps.
 
-
-def run_task1_density(cfg):
-    """Target-road density prediction on the density model."""
-    steps, first = _span(cfg)
-    results = []
-    for trial in range(cfg.trials):
-        net = build_lattice(cfg.n, cfg.link_length)
-        table = assign_turn_table(net, cfg.turn_weights,
-                                  stream_rng(cfg.seed, trial, STREAM_TURNS))
-        bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE))
-        q0 = init_density(net, cfg.total_vehicles,
-                          stream_rng(cfg.seed, trial, STREAM_INIT), how=cfg.init)
-        traj = DensitySim(net, table, bank, q0).run(steps)
-
-        target = _resolve_target(cfg, net)
-        ends = (net.link_from[target], net.link_to[target])
-        mask = select_reservoir_fraction(
-            cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
-            exclude=ends)
-        y = traj.k[:, target]
-        fdef = FeatureDef(TAG_A, mask, horizon=cfg.T)
-        x = assemble_matrix(fdef, traj.x1[first:], traj.x2[first:],
-                            u=y[cfg.washout:steps - cfg.T])
-        teacher = y[first:]
-        tr = cfg.train
-        model = ridge_fit(x[:, :tr], teacher[:tr], cfg.beta, fdef)
-        pred = predict(model, x[:, tr:])
-        score, lag = _score_and_lag(cfg, teacher[tr:], pred)
-        results.append(TrialResult(trial, cfg.seed, score, lag,
-                                   teacher[tr:].copy(), pred[0].copy(),
-                                   first + tr))
-    return results
-
-
-def run_task1_agents(cfg):
-    """Unmonitored-road density prediction on the multi-agent model.
-
-    M roads are monitored: their densities T steps back enter the features.
-    The remaining roads form the (multi-output) teacher; the scalar input U
-    is the unmonitored mean T steps back. M equal to the link count leaves
-    nothing to predict and returns no trials.
+    The readout fields (p, M, beta) play no part. inputs[t], if given, is
+    injected at step t through the trial's input weights. Returns (net, traj).
     """
-    probe = build_lattice(cfg.n, cfg.link_length)
-    if cfg.M > probe.n_links:
-        raise _io.ConfigError(
-            f"config key 'M': at most {probe.n_links} roads on an n={cfg.n} grid")
-    if cfg.M == probe.n_links:
-        return []
-    steps, first = _span(cfg)
-    results = []
-    for trial in range(cfg.trials):
-        net = build_lattice(cfg.n, cfg.link_length)
-        table = assign_turn_table(net, cfg.turn_weights,
-                                  stream_rng(cfg.seed, trial, STREAM_TURNS))
-        bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE))
+    net = build_lattice(cfg.n, cfg.link_length)
+    table = assign_turn_table(net, cfg.turn_weights,
+                              stream_rng(cfg.seed, trial, STREAM_TURNS))
+    rng_input = None if inputs is None else stream_rng(cfg.seed, trial, STREAM_INPUT)
+    bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE), rng_input)
+    if cfg.model == "agents":
         rng_agents = stream_rng(cfg.seed, trial, STREAM_AGENTS)
         state = init_agents(net, table, rng_agents,
                             per_link=cfg.agents_per_link, params=cfg.ov)
         sim = AgentSim(net, table, bank, state, cfg.ov, rng_agents)
-        traj = sim.run(steps)
+    else:
+        q0 = init_density(net, cfg.total_vehicles,
+                          stream_rng(cfg.seed, trial, STREAM_INIT), how=cfg.init)
+        sim = DensitySim(net, table, bank, q0)
+    return net, sim.run(steps, inputs=inputs)
 
-        order = stream_rng(cfg.seed, trial, STREAM_ROADS).permutation(net.n_links)
-        monitored = np.sort(order[:cfg.M])
-        hidden = np.sort(order[cfg.M:])
-        mask = select_reservoir_fraction(
-            cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
-        teacher = traj.k[first:, hidden].T
-        u = traj.k[cfg.washout:steps - cfg.T, hidden].mean(axis=1)
-        fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored, horizon=cfg.T)
-        x = assemble_matrix(fdef, traj.x1[first:], traj.x2[first:], u=u,
-                            k_hist=traj.k[cfg.washout:steps - cfg.T])
-        tr = cfg.train
-        model = ridge_fit(x[:, :tr], teacher[:, :tr], cfg.beta, fdef)
-        pred = predict(model, x[:, tr:])
-        score = log_nrmse(teacher[:, tr:], pred)
-        per_output, lag = [], None
-        for i in range(teacher.shape[0]):
-            try:
-                per_output.append(log_nrmse(teacher[i:i + 1, tr:], pred[i:i + 1]))
-            except ValueError:
-                per_output.append(None)
-                continue
-            if lag is None:
-                lag = lag_diagnostic(teacher[i, tr:], pred[i],
-                                     _default_max_lag(cfg))
-        results.append(TrialResult(trial, cfg.seed, score, lag,
-                                   teacher[:, tr:].copy(), pred.copy(),
-                                   first + tr, per_output=tuple(per_output)))
-    return results
+
+def _read_density(cfg, trial, net, traj):
+    """Target-road density from the observables and the road's own past."""
+    steps, first = _span(cfg)
+    target = default_target_link(net) if cfg.target_link is None \
+        else net.link_index(*cfg.target_link)
+    ends = (net.link_from[target], net.link_to[target])
+    mask = select_reservoir_fraction(
+        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
+        exclude=ends)
+    y = traj.k[:steps, target]
+    fdef = FeatureDef(TAG_A, mask, horizon=cfg.T)
+    x = assemble_matrix(fdef, traj.x1[first:steps], traj.x2[first:steps],
+                        u=y[cfg.washout:steps - cfg.T])
+    return _score(cfg, trial, fdef, x, y[first:])
+
+
+def _read_agents(cfg, trial, net, traj):
+    """Unmonitored-road densities (multi-output) from the observables, the
+    monitored roads T steps back and the unmonitored mean T steps back."""
+    steps, first = _span(cfg)
+    order = stream_rng(cfg.seed, trial, STREAM_ROADS).permutation(net.n_links)
+    monitored = np.sort(order[:cfg.M])
+    hidden = np.sort(order[cfg.M:])
+    mask = select_reservoir_fraction(
+        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
+    past = traj.k[cfg.washout:steps - cfg.T]
+    fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored, horizon=cfg.T)
+    x = assemble_matrix(fdef, traj.x1[first:steps], traj.x2[first:steps],
+                        u=past[:, hidden].mean(axis=1), k_hist=past)
+    return _score(cfg, trial, fdef, x, traj.k[first:steps, hidden].T)
+
+
+def _read_series(cfg, y, z, trial, net, traj):
+    """Series value y(t) from the observables (tag "b"), plus the injected
+    y(t-T) when task2_feature is "a" (tag "a")."""
+    steps, first = _span(cfg)
+    mask = select_reservoir_fraction(
+        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
+    with_u = cfg.task2_feature == "a"
+    fdef = FeatureDef(TAG_A if with_u else TAG_B, mask, horizon=cfg.T)
+    x = assemble_matrix(fdef, traj.x1[first:steps], traj.x2[first:steps],
+                        u=z[cfg.washout:steps - cfg.T] if with_u else None)
+    return _score(cfg, trial, fdef, x, y[first:])
 
 
 def _series_values(cfg, series, steps):
@@ -282,69 +272,65 @@ def _series_values(cfg, series, steps):
     return values[:steps]
 
 
-def run_task2_external(cfg, series=None):
-    """External-series prediction: inject y(t-T), read y(t) back.
+def _plan(cfg, series=None):
+    """Check cfg against its task before any simulation.
 
-    The series is standardized with mean/std taken from its pre-test prefix
-    and enters every junction's phase increment through that trial's random
-    input weights. The readout sees the signal observables only (feature
-    tag "b") unless task2_feature is "a", which appends the injected scalar.
+    Returns (inputs, readout): the external drive of every trial (None on
+    the density_link task) and readout(trial, net, traj) -> TrialResult,
+    which reads the first _span(cfg)[0] steps of a possibly longer run.
+    readout is None when every road is monitored. The external series is
+    standardized with mean/std taken from its pre-test prefix and injected
+    T steps late through each trial's input weights.
     """
-    if cfg.model != "density":
-        raise _io.ConfigError(
-            "config key 'model': the external-series task runs on the "
-            "density model")
-    steps, first = _span(cfg)
-    y = _series_values(cfg, series, steps)
-    prefix = y[:cfg.washout + cfg.train]
-    mu, sd = float(prefix.mean()), float(prefix.std())
-    if sd == 0.0:
-        raise ValueError("external series is constant over the training prefix")
-    z = (y - mu) / sd
-    inputs = np.zeros(steps)
-    if cfg.T == 0:
-        inputs[:] = z
-    else:
-        inputs[cfg.T:] = z[:-cfg.T]
-
-    results = []
-    for trial in range(cfg.trials):
-        net = build_lattice(cfg.n, cfg.link_length)
-        table = assign_turn_table(net, cfg.turn_weights,
-                                  stream_rng(cfg.seed, trial, STREAM_TURNS))
-        bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE),
-                           rng_input=stream_rng(cfg.seed, trial, STREAM_INPUT))
-        q0 = init_density(net, cfg.total_vehicles,
-                          stream_rng(cfg.seed, trial, STREAM_INIT), how=cfg.init)
-        traj = DensitySim(net, table, bank, q0).run(steps, inputs=inputs)
-
-        mask = select_reservoir_fraction(
-            cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
-        if cfg.task2_feature == "a":
-            fdef = FeatureDef(TAG_A, mask, horizon=cfg.T)
-            x = assemble_matrix(fdef, traj.x1[first:], traj.x2[first:],
-                                u=z[cfg.washout:steps - cfg.T])
-        else:
-            fdef = FeatureDef(TAG_B, mask, horizon=cfg.T)
-            x = assemble_matrix(fdef, traj.x1[first:], traj.x2[first:])
-        teacher = y[first:]
-        tr = cfg.train
-        model = ridge_fit(x[:, :tr], teacher[:tr], cfg.beta, fdef)
-        pred = predict(model, x[:, tr:])
-        score, lag = _score_and_lag(cfg, teacher[tr:], pred)
-        results.append(TrialResult(trial, cfg.seed, score, lag,
-                                   teacher[tr:].copy(), pred[0].copy(),
-                                   first + tr))
-    return results
+    if cfg.task == "external_series":
+        if cfg.model != "density":
+            raise _io.ConfigError(
+                "config key 'model': the external-series task runs on the "
+                "density model")
+        steps = _span(cfg)[0]
+        y = _series_values(cfg, series, steps)
+        prefix = y[:cfg.washout + cfg.train]
+        mu, sd = float(prefix.mean()), float(prefix.std())
+        if sd == 0.0:
+            raise ValueError("external series is constant over the training prefix")
+        z = (y - mu) / sd
+        inputs = np.concatenate([np.zeros(cfg.T), z[:steps - cfg.T]])
+        return inputs, functools.partial(_read_series, cfg, y, z)
+    if cfg.model == "agents":
+        if cfg.M > cfg.n_links:
+            raise _io.ConfigError(
+                f"config key 'M': at most {cfg.n_links} roads on an n={cfg.n} grid")
+        if cfg.M == cfg.n_links:
+            return None, None
+        return None, functools.partial(_read_agents, cfg)
+    return None, functools.partial(_read_density, cfg)
 
 
 def run_experiment(cfg, series=None):
-    """Dispatch on (task, model); returns the trial list."""
-    if cfg.task == "external_series":
-        return run_task2_external(cfg, series)
-    if cfg.model == "agents":
-        return run_task1_agents(cfg)
-    return run_task1_density(cfg)
+    """Run every trial of the configured (task, model); returns the trial list."""
+    inputs, readout = _plan(cfg, series)
+    if readout is None:
+        return []
+    steps = _span(cfg)[0]
+    return [readout(trial, *_simulate(cfg, trial, steps, inputs))
+            for trial in range(cfg.trials)]
+
+
+def run_task1_density(cfg):
+    """Target-road density prediction on the density model."""
+    return run_experiment(dataclasses.replace(cfg, model="density", task="density_link"))
+
+
+def run_task1_agents(cfg):
+    """Unmonitored-road density prediction on the multi-agent model; no
+    trials when all M = n_links roads are monitored."""
+    return run_experiment(dataclasses.replace(cfg, model="agents", task="density_link"))
+
+
+def run_task2_external(cfg, series=None):
+    """External-series prediction on the density model: inject y(t-T),
+    read y(t) back."""
+    return run_experiment(dataclasses.replace(cfg, task="external_series"), series)
 
 
 def average_prediction(results, count=None):
@@ -373,28 +359,54 @@ def summarize(results):
 
 
 _SWEEP_PARAMS = ("p", "M", "T", "beta", "tau")
+_READOUT_PARAMS = ("p", "M", "beta")
+
+
+def _sweep_value(param, raw):
+    """M and T must be integral (3, "3" and 8.0 pass); the rest become floats."""
+    value = float(raw)
+    if param not in ("M", "T"):
+        return value
+    if not value.is_integer():
+        raise _io.ConfigError(
+            f"config key {param!r}: sweep value {raw!r} is not an integer")
+    return int(value)
 
 
 def sweep(cfg, param, values, series=None):
-    """Re-run the configured experiment for each parameter value.
+    """Run the configured experiment for each parameter value.
 
-    The base seed is reused, so trials stay paired across values. Values for
-    M and T are coerced to int, the rest to float.
+    The base seed is reused, so trials stay paired across values. Every
+    value is checked before the first simulation. Each trial is simulated
+    once per distinct reservoir run and every value sharing that run is read
+    out of it: p, M and beta never change the run, and on the density_link
+    task a larger T only lengthens it, so the longest span serves every T.
+    Trials run outermost, so one trajectory is alive at a time.
     """
     if param not in _SWEEP_PARAMS:
         raise _io.ConfigError(
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMS)}")
-    by_value, rows = {}, []
+    order, plans = [], {}
     for raw in values:
-        value = int(raw) if param in ("M", "T") else float(raw)
-        cfg_v = dataclasses.replace(cfg, **{param: value})
+        cfg_v = dataclasses.replace(cfg, **{param: _sweep_value(param, raw)})
         _io.validate_config(cfg_v)
-        trials = run_experiment(cfg_v, series)
-        by_value[value] = trials
-        if trials:
-            row = summarize(trials)
-            row["value"] = value
-            rows.append(row)
+        value = getattr(cfg_v, param)
+        order.append(value)
+        if value not in plans:
+            plans[value] = (cfg_v, *_plan(cfg_v, series))
+    live = [v for v, plan in plans.items() if plan[2] is not None]
+    shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
+    groups = ([live] if live else []) if shared else [[v] for v in live]
+    by_value = {v: [] for v in plans}
+    for trial in range(cfg.trials):
+        for group in groups:
+            cfg_v, inputs, _ = plans[group[0]]
+            steps = max(_span(plans[v][0])[0] for v in group)
+            net, traj = _simulate(cfg_v, trial, steps, inputs)
+            for v in group:
+                by_value[v].append(plans[v][2](trial, net, traj))
+            del net, traj
+    rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
     return SweepResult(param, tuple(by_value), by_value, rows)
 
 
@@ -402,17 +414,4 @@ def run_simulation(cfg, steps=None):
     """Run the configured model once (trial 0 streams) and return (net, trajectory)."""
     if steps is None:
         steps = cfg.steps if cfg.steps is not None else _span(cfg)[0]
-    net = build_lattice(cfg.n, cfg.link_length)
-    table = assign_turn_table(net, cfg.turn_weights,
-                              stream_rng(cfg.seed, 0, STREAM_TURNS))
-    bank = _phase_bank(cfg, stream_rng(cfg.seed, 0, STREAM_PHASE))
-    if cfg.model == "agents":
-        rng_agents = stream_rng(cfg.seed, 0, STREAM_AGENTS)
-        state = init_agents(net, table, rng_agents,
-                            per_link=cfg.agents_per_link, params=cfg.ov)
-        sim = AgentSim(net, table, bank, state, cfg.ov, rng_agents)
-    else:
-        q0 = init_density(net, cfg.total_vehicles,
-                          stream_rng(cfg.seed, 0, STREAM_INIT), how=cfg.init)
-        sim = DensitySim(net, table, bank, q0)
-    return net, sim.run(steps)
+    return _simulate(cfg, 0, steps)

@@ -65,6 +65,22 @@ def test_validation_names_the_key(patch, key):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("patch,key", [
+    ({"link_length": math.inf}, "link_length"),
+    ({"total_vehicles": math.inf}, "total_vehicles"),
+    ({"tau": math.inf}, "tau"),
+    ({"tau": [100.0, 90.0, 80.0, math.inf]}, "tau"),
+    ({"beta": math.inf}, "beta"),
+    ({"sigma_in": math.inf}, "sigma_in"),
+])
+def test_validation_rejects_infinite_values(patch, key):
+    # inf passes a bare sign check and would only fail deep inside the run
+    data = {"n": 2}
+    data.update(patch)
+    with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
+        config_from_dict(data)
+
+
 def test_list_fields_become_tuples():
     cfg = config_from_dict({"n": 2, "tau": [80.0, 90.0, 100.0, 110.0],
                             "turn_weights": [0.2, 0.3, 0.5],

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from trafficrc.agents import AgentSim
+from trafficrc.density import DensitySim
 from trafficrc.io import ConfigError, config_from_dict
 from trafficrc.lattice import build_lattice
 from trafficrc.readout import log_nrmse
@@ -106,6 +108,7 @@ _SMALL_AGENTS = dict(model="agents", task="density_link", n=2, T=2, M=3,
                      washout=15, train=80, test=40, trials=2, seed=9)
 _SMALL_SERIES = dict(model="density", task="external_series", n=3, T=2,
                      washout=20, train=150, test=60, trials=3, seed=9)
+_SMALL = {"density": _SMALL_DENSITY, "agents": _SMALL_AGENTS, "series": _SMALL_SERIES}
 
 
 def test_density_task_shapes_and_determinism():
@@ -270,6 +273,106 @@ def test_sweep_validates_each_value():
     cfg = config_from_dict(dict(_SMALL_DENSITY))
     with pytest.raises(ConfigError):
         sweep(cfg, "p", [0.5, 1.5])
+
+
+def test_sweep_rejects_non_integral_counts():
+    cfg = config_from_dict(dict(_SMALL_AGENTS, trials=1))
+    with pytest.raises(ConfigError, match="'T'"):
+        sweep(cfg, "T", [2.7])
+    with pytest.raises(ConfigError, match="'M'"):
+        sweep(cfg, "M", ["3", 4.5])
+    swept = sweep(cfg, "M", [8.0, 4.0])
+    assert list(swept.by_value) == [8, 4]
+    assert all(type(v) is int for v in swept.by_value)
+
+
+# --- trajectory reuse in sweeps ---------------------------------------------------
+
+def _assert_same_trials(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.trial, a.seed, a.lag, a.t0) == (b.trial, b.seed, b.lag, b.t0)
+        assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
+        assert a.per_output == b.per_output
+        assert a.teacher.shape == b.teacher.shape
+        assert a.teacher.tobytes() == b.teacher.tobytes()
+        assert a.predicted.shape == b.predicted.shape
+        assert a.predicted.tobytes() == b.predicted.tobytes()
+
+
+@pytest.mark.parametrize("kind,param,values", [
+    ("density", "p", [0.3, 1.0, 0.6]),
+    ("density", "M", [3, 5]),
+    ("density", "beta", [1e-8, 1e-2]),
+    ("density", "T", [4, 1, 2]),
+    ("agents", "p", [0.5, 1.0]),
+    ("agents", "M", [2, 8, 5]),
+    ("agents", "beta", [1e-8, 1e-3]),
+    ("agents", "T", [1, 3]),
+    ("series", "p", [0.4, 1.0]),
+    ("series", "T", [1, 3]),
+])
+def test_sweep_matches_run_experiment_bitwise(kind, param, values):
+    cfg = config_from_dict(dict(_SMALL[kind]))
+    swept = sweep(cfg, param, values)
+    assert list(swept.by_value) == values
+    for v in values:
+        want = run_experiment(dataclasses.replace(cfg, **{param: v}))
+        _assert_same_trials(swept.by_value[v], want)
+
+
+@pytest.fixture
+def sim_runs(monkeypatch):
+    """Steps requested from every DensitySim.run and AgentSim.run call."""
+    calls = []
+    for cls in (DensitySim, AgentSim):
+        def run(self, steps, inputs=None, _run=cls.run):
+            calls.append(steps)
+            return _run(self, steps, inputs)
+        monkeypatch.setattr(cls, "run", run)
+    return calls
+
+
+@pytest.mark.parametrize("kind,param,values", [
+    ("density", "p", [0.2, 0.5, 1.0]),
+    ("density", "beta", [1e-8, 1e-4, 1.0]),
+    ("agents", "M", [2, 5, 8]),
+    ("agents", "p", [0.5, 1.0]),
+    ("agents", "beta", [1e-8, 1e-2]),
+    ("series", "p", [0.5, 1.0]),
+    ("series", "M", [1, 2]),
+])
+def test_readout_sweeps_simulate_each_trial_once(sim_runs, kind, param, values):
+    cfg = config_from_dict(dict(_SMALL[kind]))
+    sweep(cfg, param, values)
+    assert sim_runs == [cfg.washout + cfg.T + cfg.train + cfg.test] * cfg.trials
+
+
+@pytest.mark.parametrize("kind", ["density", "agents"])
+def test_task1_horizon_sweep_simulates_the_longest_span_once(sim_runs, kind):
+    cfg = config_from_dict(dict(_SMALL[kind]))
+    sweep(cfg, "T", [1, 6, 3])
+    assert sim_runs == [cfg.washout + 6 + cfg.train + cfg.test] * cfg.trials
+
+
+def test_task2_horizon_sweep_simulates_each_value(sim_runs):
+    cfg = config_from_dict(dict(_SMALL_SERIES))
+    sweep(cfg, "T", [1, 4])
+    span = cfg.washout + cfg.train + cfg.test
+    assert sim_runs == [span + 1, span + 4] * cfg.trials
+
+
+@pytest.mark.parametrize("kind,param,values,key", [
+    ("agents", "M", [3, 9], "'M'"),
+    ("density", "p", [0.5, 1.5], "'p'"),
+    ("density", "T", [2, 2.5], "'T'"),
+])
+def test_sweep_rejects_bad_values_before_simulating(sim_runs, kind, param, values,
+                                                    key):
+    cfg = config_from_dict(dict(_SMALL[kind]))
+    with pytest.raises(ConfigError, match=key):
+        sweep(cfg, param, values)
+    assert sim_runs == []
 
 
 # --- one-shot simulation -------------------------------------------------------
