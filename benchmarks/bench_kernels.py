@@ -1,11 +1,12 @@
-"""Timing and agreement comparison of the two kernel backends.
+"""Timing of the density step and agents-backend comparison.
 
-Runs the same seeded simulations once with the jitted kernels and once with
-the pure-numpy fallbacks (TRAFFICRC_NO_NUMBA=1), in subprocesses, because the
-backend is fixed at import time. Reports wall time per backend and the
-max-abs trajectory difference over a short horizon; the paths follow the same
-update rules but are not bit-identical (libm vs numpy transcendentals), so
-tiny differences are expected and the agents model is only compared over
+The density step has a single numpy implementation, so it is timed once.
+The agents substep has a numba-jitted kernel and a pure-numpy fallback
+(TRAFFICRC_NO_NUMBA=1); both are run in subprocesses, because the backend is
+fixed at import time. Reports wall time per backend and the max-abs agents
+trajectory difference over a short horizon; the paths follow the same update
+rules but are not bit-identical (libm vs numpy transcendentals), so tiny
+differences are expected and the agents model is only compared over
 --check-steps before its nonlinearity can amplify them.
 
     python3 benchmarks/bench_kernels.py
@@ -65,7 +66,7 @@ def main(argv=None):
     ap.add_argument("--agents-steps", type=int, default=1000,
                     help="timed reservoir steps for the agents model")
     ap.add_argument("--check-steps", type=int, default=50,
-                    help="horizon for the cross-backend agreement check")
+                    help="horizon for the agents cross-backend agreement check")
     ap.add_argument("--repeat", type=int, default=3,
                     help="timed repetitions; best is reported")
     ap.add_argument("--child", choices=("density", "agents"),
@@ -79,27 +80,29 @@ def main(argv=None):
 
     from trafficrc.kernels import HAVE_NUMBA
     if not HAVE_NUMBA:
-        print("numba is not importable; only the numpy fallback can run")
+        print("numba is not importable; only the numpy agents fallback can run")
 
     print(f"{'model':<9} {'steps':>6} {'numpy':>9} {'numba':>9} "
           f"{'speedup':>8} {'max|diff|':>10}")
-    for model, n, steps in (("density", args.n, args.steps),
-                            ("agents", 3, args.agents_steps)):
+    with tempfile.TemporaryDirectory() as tmp:
+        dens = _spawn(args, "density", args.n, True, os.path.join(tmp, "d.npz"))
+        print(f"{'density':<9} {args.steps:>6} {float(dens['seconds']):>8.2f}s "
+              f"{'(one implementation)':>29}")
+
         run = argparse.Namespace(**vars(args))
-        run.steps = steps
-        with tempfile.TemporaryDirectory() as tmp:
-            plain = _spawn(run, model, n, True, os.path.join(tmp, "np.npz"))
-            t_np = float(plain["seconds"])
-            if not HAVE_NUMBA:
-                print(f"{model:<9} {steps:>6} {t_np:>8.2f}s {'-':>9} "
-                      f"{'-':>8} {'-':>10}")
-                continue
-            jit = _spawn(run, model, n, False, os.path.join(tmp, "nb.npz"))
-            t_nb = float(jit["seconds"])
-            diff = max(np.abs(plain[f] - jit[f]).max()
-                       for f in ("u", "x1", "x2", "k"))
-            print(f"{model:<9} {steps:>6} {t_np:>8.2f}s {t_nb:>8.2f}s "
-                  f"{t_np / t_nb:>7.1f}x {diff:>10.2e}")
+        run.steps = args.agents_steps
+        plain = _spawn(run, "agents", 3, True, os.path.join(tmp, "np.npz"))
+        t_np = float(plain["seconds"])
+        if not HAVE_NUMBA:
+            print(f"{'agents':<9} {run.steps:>6} {t_np:>8.2f}s {'-':>9} "
+                  f"{'-':>8} {'-':>10}")
+            return
+        jit = _spawn(run, "agents", 3, False, os.path.join(tmp, "nb.npz"))
+        t_nb = float(jit["seconds"])
+        diff = max(np.abs(plain[f] - jit[f]).max()
+                   for f in ("u", "x1", "x2", "k"))
+        print(f"{'agents':<9} {run.steps:>6} {t_np:>8.2f}s {t_nb:>8.2f}s "
+              f"{t_np / t_nb:>7.1f}x {diff:>10.2e}")
 
 
 if __name__ == "__main__":

@@ -136,15 +136,20 @@ class DensitySim:
         self.q = q0.copy()
         self.t = 0
         self._inv_len = 1.0 / net.length
+        self._rate = np.minimum(self._inv_len, 1.0)  # outflow <= content
         self._dst = net.link_to
-        self._tmat = None if kernels.USE_NUMBA else table.matrix()
+        # turn table flattened to one (src, to, wgt) entry per turn
+        valid = table.idx >= 0
+        self._src = np.repeat(np.arange(net.n_links), table.cnt)
+        self._to = table.idx[valid]
+        self._wgt = table.wgt[valid]
 
     def step(self, u_ext=None):
         """Advance one step; returns the pre-movement snapshot."""
         go = link_go(self.bank, self.net)
         q_new, u = kernels.density_step(
-            self.q, self._inv_len, go, self._dst, self.net.n_junctions,
-            self.table.idx, self.table.wgt, self.table.cnt, self._tmat)
+            self.q, self._inv_len, self._rate, go, self._dst,
+            self.net.n_junctions, self._src, self._to, self._wgt)
         x1, x2 = reservoir_observables(u, self.bank.theta)
         snap = ReservoirSnapshot(self.t, u, x1, x2, self.q * self._inv_len)
         self.q = q_new

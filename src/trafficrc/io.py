@@ -200,9 +200,14 @@ def validate_config(cfg):
     if cfg.series_synth.length is not None:
         _require(_is_int(cfg.series_synth.length) and cfg.series_synth.length >= 2,
                  "series_synth", "length must be >= 2")
+    for name in ("amplitude", "offset", "period", "sigma"):
+        _require(_is_finite(getattr(cfg.series_synth, name)), "series_synth",
+                 f"{name} must be finite")
     _require(cfg.series_synth.period > 0, "series_synth", "period must be positive")
     _require(abs(cfg.series_synth.rho) < 1, "series_synth", "rho must lie in (-1, 1)")
     _require(cfg.series_synth.sigma >= 0, "series_synth", "sigma must be >= 0")
+    for name in sorted(_OV_KEYS):
+        _require(_is_finite(getattr(cfg.ov, name)), "ov", f"{name} must be finite")
     _require(_is_finite(cfg.sigma_in) and cfg.sigma_in > 0, "sigma_in",
              "must be finite and positive")
     _require(_is_int(cfg.trial_average) and cfg.trial_average >= 1,

@@ -1,9 +1,11 @@
-"""Hot simulation kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot simulation kernels.
 
-The jitted path runs when numba imports and TRAFFICRC_NO_NUMBA is unset or
-"0"; otherwise the vectorized numpy implementations run. Both paths apply
-the same update rules (see benchmarks/bench_kernels.py for the agreement
-and timing comparison); each path is bit-deterministic on its own.
+The density step is a single numpy implementation whose cost is linear in
+the number of links. The agents substep has a numba-jitted loop and a
+vectorized numpy fallback: the jitted path runs when numba imports and
+TRAFFICRC_NO_NUMBA is unset or "0". Both agents paths apply the same update
+rules (see benchmarks/bench_kernels.py for the agreement and timing
+comparison); each is bit-deterministic on its own.
 """
 
 from __future__ import annotations
@@ -41,42 +43,17 @@ def backend():
 
 # --- density model ---------------------------------------------------------
 
-def _density_step_loops(q, inv_len, go, dst, tidx, twgt, tcnt, q_out, u_out):
-    # u is the junction inflow sum Q/L over ALL incoming links, gated or not,
-    # taken before any mass moves.
-    for j in range(u_out.shape[0]):
-        u_out[j] = 0.0
-    for l in range(q.shape[0]):
-        u_out[dst[l]] += q[l] * inv_len[l]
-        q_out[l] = q[l]
-    for l in range(q.shape[0]):
-        if go[l]:
-            rate = inv_len[l] if inv_len[l] < 1.0 else 1.0  # outflow <= content
-            o = q[l] * rate
-            q_out[l] -= o
-            for k in range(tcnt[l]):
-                q_out[tidx[l, k]] += o * twgt[l, k]
+def density_step(q, inv_len, rate, go, dst, n_junctions, src, to, wgt):
+    """One gated movement step. Returns (new link contents, junction inflows).
 
-
-def density_step_numpy(q, inv_len, go, dst, n_junctions, tmat):
+    u is the junction inflow sum Q/L over ALL incoming links, gated or not,
+    taken before any mass moves. Each go link discharges o = rate * Q; the
+    flattened turn table (src, to, wgt) sends o[src[i]] * wgt[i] to link
+    to[i], so the cost is linear in the number of links.
+    """
     u = np.bincount(dst, weights=q * inv_len, minlength=n_junctions)
-    rate = np.minimum(inv_len, 1.0)
     o = np.where(go, q * rate, 0.0)
-    return q - o + o @ tmat, u
-
-
-if HAVE_NUMBA:
-    _density_step_jit = _njit(cache=True)(_density_step_loops)
-
-
-def density_step(q, inv_len, go, dst, n_junctions, tidx, twgt, tcnt, tmat):
-    """One gated movement step. Returns (new link contents, junction inflows)."""
-    if USE_NUMBA:
-        q_out = np.empty_like(q)
-        u_out = np.empty(n_junctions)
-        _density_step_jit(q, inv_len, go, dst, tidx, twgt, tcnt, q_out, u_out)
-        return q_out, u_out
-    return density_step_numpy(q, inv_len, go, dst, n_junctions, tmat)
+    return q - o + np.bincount(to, weights=o[src] * wgt, minlength=q.size), u
 
 
 # --- multi-agent model -----------------------------------------------------

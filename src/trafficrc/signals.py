@@ -102,9 +102,12 @@ def signal_state(theta, ns_stop_first=True):
     axis stops and east-west goes; the rest of the period is reversed.
     ns_stop_first=False swaps the convention. Returns (ns_go, ew_go) booleans.
     """
-    half = np.mod(theta, TWO_PI) < np.pi
-    ns_go = half ^ np.asarray(ns_stop_first, dtype=bool)
+    ns_go = _ns_go(theta, np.asarray(ns_stop_first, dtype=bool))
     return ns_go, ~ns_go
+
+
+def _ns_go(theta, ns_stop_first):
+    return (np.mod(theta, TWO_PI) < np.pi) ^ ns_stop_first
 
 
 def reservoir_observables(u, theta):
@@ -120,6 +123,5 @@ def reservoir_observables(u, theta):
 
 def link_go(bank, net):
     """Per-link gate: True where the link's axis shows go at its destination."""
-    ns_go, ew_go = signal_state(bank.theta, bank.ns_stop_first)
-    dst = net.link_to
-    return np.where(net.link_axis_ns, ns_go[dst], ew_go[dst])
+    # one gather of the junctions' NS state; EW links take its complement
+    return _ns_go(bank.theta, bank.ns_stop_first)[net.link_to] ^ ~net.link_axis_ns

@@ -81,6 +81,26 @@ def test_validation_rejects_infinite_values(patch, key):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("group,name", [
+    ("series_synth", "amplitude"),
+    ("series_synth", "offset"),
+    ("series_synth", "period"),
+    ("series_synth", "sigma"),
+    ("ov", "a"),
+    ("ov", "v_scale"),
+    ("ov", "c"),
+    ("ov", "w"),
+    ("ov", "dt"),
+    ("ov", "d_min"),
+    ("ov", "horizon"),
+])
+def test_validation_rejects_infinite_nested_values(group, name):
+    # without the check, inf surfaces mid-run as "external input must be
+    # finite" or "teacher series is constant", naming no key
+    with pytest.raises(ConfigError, match=f"'{group}': {name} must be finite"):
+        config_from_dict({"n": 2, group: {name: math.inf}})
+
+
 def test_list_fields_become_tuples():
     cfg = config_from_dict({"n": 2, "tau": [80.0, 90.0, 100.0, 110.0],
                             "turn_weights": [0.2, 0.3, 0.5],

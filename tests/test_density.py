@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficrc import kernels
 from trafficrc.density import DensitySim, init_density, link_density
-from trafficrc.lattice import assign_turn_table, build_lattice
+from trafficrc.io import config_from_dict
+from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
 from trafficrc.signals import PhaseBank, link_go
+from trafficrc.tasks import run_simulation
 
 
 def make_system(n, seed, link_length=1.0):
@@ -69,6 +73,20 @@ def density_oracle(q, inv_len, go, table, net):
     return q_new, u
 
 
+def scatter_args(net, table):
+    """The flattened turn table (src, to, wgt) that DensitySim builds."""
+    valid = table.idx >= 0
+    src = np.repeat(np.arange(net.n_links), table.cnt)
+    return src, table.idx[valid], table.wgt[valid]
+
+
+def step(q, go, net, table):
+    inv_len = 1.0 / net.length
+    return kernels.density_step(q, inv_len, np.minimum(inv_len, 1.0), go,
+                                net.link_to, net.n_junctions,
+                                *scatter_args(net, table))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("link_length", [1.0, 2.5, 0.5])
 def test_kernel_paths_match_oracle(seed, link_length):
@@ -76,21 +94,65 @@ def test_kernel_paths_match_oracle(seed, link_length):
     net = build_lattice(4, link_length)
     table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
     q = rng.uniform(0.0, 3.0, net.n_links)
-    inv_len = 1.0 / net.length
     go = rng.uniform(size=net.n_links) < 0.5
 
-    q_ref, u_ref = density_oracle(q, inv_len, go, table, net)
-    q_np, u_np = kernels.density_step_numpy(q, inv_len, go, net.link_to,
-                                            net.n_junctions, table.matrix())
-    assert q_np == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
-    assert u_np == pytest.approx(u_ref, rel=1e-12, abs=1e-14)
-    if kernels.HAVE_NUMBA:
-        q_jit = np.empty_like(q)
-        u_jit = np.empty(net.n_junctions)
-        kernels._density_step_jit(q, inv_len, go, net.link_to, table.idx,
-                                  table.wgt, table.cnt, q_jit, u_jit)
-        assert q_jit == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
-        assert u_jit == pytest.approx(u_ref, rel=1e-12, abs=1e-14)
+    q_ref, u_ref = density_oracle(q, 1.0 / net.length, go, table, net)
+    q_new, u_new = step(q, go, net, table)
+    assert q_new == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
+    assert u_new == pytest.approx(u_ref, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_scatter_step_matches_oracle_on_random_lattices(n, seed, data):
+    rng = np.random.default_rng(seed)
+    n_links = 4 * n * (n - 1)
+    lengths = data.draw(st.lists(st.floats(0.05, 5.0), min_size=n_links,
+                                 max_size=n_links))
+    go = np.array(data.draw(st.lists(st.booleans(), min_size=n_links,
+                                     max_size=n_links)))
+    net = build_lattice(n, lengths)
+    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+    q = rng.uniform(0.0, 3.0, n_links)
+
+    q_ref, u_ref = density_oracle(q, 1.0 / net.length, go, table, net)
+    q_new, u_new = step(q, go, net, table)
+    assert q_new == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
+    assert u_new == pytest.approx(u_ref, rel=1e-12, abs=1e-14)
+    assert np.all(q_new >= 0)
+    assert q_new.sum() == pytest.approx(q.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 10, 20])
+def test_scatter_step_is_bitwise_the_dense_product(n):
+    # the replaced formula q - o + o @ M, stepped alongside the sim
+    lengths = np.random.default_rng(n).uniform(0.3, 3.0, 4 * n * (n - 1))
+    net, table, bank, q0 = make_system(n, seed=n, link_length=lengths)
+    inv_len = 1.0 / net.length
+    rate = np.minimum(inv_len, 1.0)
+    tmat = table.matrix()
+    ref_bank = bank.copy()
+    sim = DensitySim(net, table, bank, q0)
+    q_ref = q0.copy()
+    for t in range(100):
+        u_ref = np.bincount(net.link_to, weights=q_ref * inv_len,
+                            minlength=net.n_junctions)
+        o = np.where(link_go(ref_bank, net), q_ref * rate, 0.0)
+        q_ref = q_ref - o + o @ tmat
+        ref_bank.step(t)
+        snap = sim.step()
+        assert np.array_equal(snap.u, u_ref)
+        assert np.array_equal(sim.q, q_ref)
+
+
+def test_density_sim_never_builds_the_dense_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("TurnTable.matrix called")
+
+    monkeypatch.setattr(TurnTable, "matrix", forbidden)
+    net, table, bank, q0 = make_system(4, seed=3)
+    DensitySim(net, table, bank, q0).run(20)
+    run_simulation(config_from_dict({"model": "density", "n": 3}), 20)
 
 
 # --- conservation ------------------------------------------------------------

@@ -146,6 +146,21 @@ def test_link_go_routes_axis_state_of_destination():
     assert np.array_equal(link_go(flipped, net), net.link_axis_ns)
 
 
+def test_link_go_selects_each_links_axis_state():
+    # every link reads its own axis: NS links ns_go, EW links ew_go
+    net = build_lattice(5)
+    rng = np.random.default_rng(11)
+    stop_first = rng.uniform(size=net.n_junctions) < 0.5
+    bank = PhaseBank(37.0, rng.uniform(0.0, TWO_PI, net.n_junctions),
+                     ns_stop_first=stop_first)
+    for t in range(500):
+        ns_go, ew_go = signal_state(bank.theta, stop_first)
+        dst = net.link_to
+        expect = np.where(net.link_axis_ns, ns_go[dst], ew_go[dst])
+        assert np.array_equal(link_go(bank, net), expect)
+        bank.step(t)
+
+
 # --- observables -------------------------------------------------------------
 
 def test_observables_hand_values():
