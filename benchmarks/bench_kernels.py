@@ -1,108 +1,99 @@
-"""Timing of the density step and agents-backend comparison.
+"""Time the model step of both traffic models over lattice size n.
 
-The density step has a single numpy implementation, so it is timed once.
-The agents substep has a numba-jitted kernel and a pure-numpy fallback
-(TRAFFICRC_NO_NUMBA=1); both are run in subprocesses, because the backend is
-fixed at import time. Reports wall time per backend and the max-abs agents
-trajectory difference over a short horizon; the paths follow the same update
-rules but are not bit-identical (libm vs numpy transcendentals), so tiny
-differences are expected and the agents model is only compared over
---check-steps before its nonlinearity can amplify them.
+Everything runs in-process on the numpy kernels. For each n the model is
+built from the default config of its model (seed 7, so agents use 20-long
+links with 10 agents each), run --warmup steps so the agents leave their
+standing start, then each of --steps steps is timed on its own. One
+reservoir step of the agents model is round(1/dt) Euler substeps plus the
+junction transfers. Reports the median and quartiles of ms per step and the
+median us per link per step, which stays flat when a step is linear in the
+lattice size.
 
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --n 14 --steps 5000 --repeat 5
+    python3 benchmarks/bench_kernels.py --agents-n 3,6,10 --density-n 5,10,20,40 --json out.json
 """
 
 import argparse
 import json
-import os
-import subprocess
-import sys
-import tempfile
+import platform
 import time
 
 import numpy as np
 
-
-def child(args):
-    """Run one model in the current backend; write timings + trajectory."""
-    from trafficrc.io import config_from_dict
-    from trafficrc.kernels import backend
-    from trafficrc.tasks import run_simulation
-
-    cfg = config_from_dict({"model": args.model, "n": args.n, "seed": 7})
-    run_simulation(cfg, 3)                      # pay JIT compilation up front
-    best = min(
-        _timed(lambda: run_simulation(cfg, args.steps))
-        for _ in range(args.repeat))
-    _, short = run_simulation(cfg, args.check_steps)
-    np.savez_compressed(args.out, u=short.u, x1=short.x1, x2=short.x2,
-                        k=short.k, seconds=best)
-    print(json.dumps({"backend": backend(), "seconds": best}))
+from trafficrc.agents import AgentSim, init_agents
+from trafficrc.density import DensitySim, init_density
+from trafficrc.io import config_from_dict
+from trafficrc.lattice import assign_turn_table, build_lattice
+from trafficrc.signals import PhaseBank
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+def build_sim(model, n, seed=7):
+    cfg = config_from_dict({"model": model, "n": n, "seed": seed})
+    rng = np.random.default_rng(cfg.seed)
+    net = build_lattice(cfg.n, cfg.link_length)
+    table = assign_turn_table(net, cfg.turn_weights, rng)
+    bank = PhaseBank.random(net.n_junctions, rng, tau=cfg.tau)
+    if model == "agents":
+        state = init_agents(net, table, rng, per_link=cfg.agents_per_link,
+                            params=cfg.ov)
+        return AgentSim(net, table, bank, state, cfg.ov, rng)
+    q0 = init_density(net, cfg.total_vehicles, rng, how=cfg.init)
+    return DensitySim(net, table, bank, q0)
 
 
-def _spawn(args, model, n, no_numba, out):
-    env = dict(os.environ, TRAFFICRC_NO_NUMBA="1" if no_numba else "0")
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", model,
-           "--n", str(n), "--steps", str(args.steps),
-           "--check-steps", str(args.check_steps),
-           "--repeat", str(args.repeat), "--out", out]
-    subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
-    return np.load(out)
+def time_steps(model, n, steps, warmup):
+    sim = build_sim(model, n)
+    for _ in range(warmup):
+        sim.step()
+    ms = np.empty(steps)
+    for s in range(steps):
+        start = time.perf_counter()
+        sim.step()
+        ms[s] = (time.perf_counter() - start) * 1e3
+    q1, med, q3 = np.percentile(ms, [25, 50, 75])
+    n_links = sim.net.n_links
+    return {"n": n, "links": n_links, "steps": steps,
+            "ms_per_step": {"median": round(med, 4), "q1": round(q1, 4),
+                            "q3": round(q3, 4), "mean": round(ms.mean(), 4)},
+            "us_per_link": round(med * 1e3 / n_links, 3)}
+
+
+def _sizes(text):
+    return [int(v) for v in text.replace(",", " ").split()]
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=10,
-                    help="grid size for the density model (agents use n=3)")
-    ap.add_argument("--steps", type=int, default=10000,
-                    help="timed reservoir steps for the density model")
-    ap.add_argument("--agents-steps", type=int, default=1000,
-                    help="timed reservoir steps for the agents model")
-    ap.add_argument("--check-steps", type=int, default=50,
-                    help="horizon for the agents cross-backend agreement check")
-    ap.add_argument("--repeat", type=int, default=3,
-                    help="timed repetitions; best is reported")
-    ap.add_argument("--child", choices=("density", "agents"),
-                    help=argparse.SUPPRESS)
-    ap.add_argument("--out", help=argparse.SUPPRESS)
+    ap.add_argument("--agents-n", type=_sizes, default=[3, 6, 10],
+                    help="lattice sizes for the agents model")
+    ap.add_argument("--density-n", type=_sizes, default=[5, 10, 20, 40],
+                    help="lattice sizes for the density model")
+    ap.add_argument("--agents-steps", type=int, default=200,
+                    help="timed reservoir steps per agents size")
+    ap.add_argument("--density-steps", type=int, default=500,
+                    help="timed reservoir steps per density size")
+    ap.add_argument("--warmup", type=int, default=100,
+                    help="untimed steps before timing")
+    ap.add_argument("--json", help="also write the results to this file")
     args = ap.parse_args(argv)
 
-    if args.child:
-        args.model = args.child
-        return child(args)
-
-    from trafficrc.kernels import HAVE_NUMBA
-    if not HAVE_NUMBA:
-        print("numba is not importable; only the numpy agents fallback can run")
-
-    print(f"{'model':<9} {'steps':>6} {'numpy':>9} {'numba':>9} "
-          f"{'speedup':>8} {'max|diff|':>10}")
-    with tempfile.TemporaryDirectory() as tmp:
-        dens = _spawn(args, "density", args.n, True, os.path.join(tmp, "d.npz"))
-        print(f"{'density':<9} {args.steps:>6} {float(dens['seconds']):>8.2f}s "
-              f"{'(one implementation)':>29}")
-
-        run = argparse.Namespace(**vars(args))
-        run.steps = args.agents_steps
-        plain = _spawn(run, "agents", 3, True, os.path.join(tmp, "np.npz"))
-        t_np = float(plain["seconds"])
-        if not HAVE_NUMBA:
-            print(f"{'agents':<9} {run.steps:>6} {t_np:>8.2f}s {'-':>9} "
-                  f"{'-':>8} {'-':>10}")
-            return
-        jit = _spawn(run, "agents", 3, False, os.path.join(tmp, "nb.npz"))
-        t_nb = float(jit["seconds"])
-        diff = max(np.abs(plain[f] - jit[f]).max()
-                   for f in ("u", "x1", "x2", "k"))
-        print(f"{'agents':<9} {run.steps:>6} {t_np:>8.2f}s {t_nb:>8.2f}s "
-              f"{t_np / t_nb:>7.1f}x {diff:>10.2e}")
+    rows = {"agents": [], "density": []}
+    print(f"{'model':<8} {'n':>3} {'links':>6} {'ms/step':>9} "
+          f"{'q1':>9} {'q3':>9} {'us/link':>8}")
+    for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
+                                ("density", args.density_n, args.density_steps)):
+        for n in sizes:
+            r = time_steps(model, n, steps, args.warmup)
+            rows[model].append(r)
+            t = r["ms_per_step"]
+            print(f"{model:<8} {n:>3} {r['links']:>6} {t['median']:>9.3f} "
+                  f"{t['q1']:>9.3f} {t['q3']:>9.3f} {r['us_per_link']:>8.2f}")
+    if args.json:
+        env = {"python": platform.python_version(), "numpy": np.__version__,
+               "machine": platform.machine()}
+        with open(args.json, "w") as fh:
+            json.dump({"env": env, **rows}, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

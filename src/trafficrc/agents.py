@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -214,70 +215,92 @@ class AgentSim:
         n = st.count
         if n == 0:
             return
-        xs, vs, ls, nxt = st.x, st.v, st.link, st.next_link
-        # rear-most occupant per link: the first agent of each sorted segment
-        seg_start = np.empty(n, dtype=bool)
-        seg_start[0] = True
-        seg_start[1:] = ls[1:] != ls[:-1]
-        rear = np.full(self.net.n_links, np.inf)
-        starts = np.flatnonzero(seg_start)
-        rear[ls[starts]] = xs[starts]
+        xs, ls = st.x, st.link
+        # segment masks, shared by the kernel, the transfers and min_gap
+        same = ls[1:] == ls[:-1]
         lead = np.empty(n, dtype=bool)
         lead[-1] = True
-        lead[:-1] = ls[1:] != ls[:-1]
+        np.logical_not(same, out=lead[:-1])
+        red_ls = red[ls]
+        red_lead = lead & red_ls
+        green_lead = lead & ~red_ls
+        end = self.net.length[ls]
         extra = np.zeros(n)
-        green_lead = lead & ~red[ls]
         if green_lead.any():
-            ahead = rear[nxt[green_lead]]
+            # rear-most occupant per link: the first agent of each segment
+            rear = np.full(self.net.n_links, np.inf)
+            starts = np.flatnonzero(lead[:-1]) + 1
+            rear[ls[starts]] = xs[starts]
+            rear[ls[0]] = xs[0]
+            ahead = rear[st.next_link[green_lead]]
             extra[green_lead] = np.where(np.isfinite(ahead), ahead, p.horizon)
-        kernels.agents_substep(xs, vs, ls, extra, self.net.length, red,
+        kernels.agents_substep(xs, st.v, end, extra, same, lead, red_lead,
                                p.a, 0.5 * p.v_scale, p.c, p.w, self._tanh_c,
                                p.dt, p.d_min)
-        self._transfers(red)
-        st = self.state
-        if st.count > 1:
+        crossing = ls[green_lead & (xs > end)]
+        if crossing.size:
+            self._transfers(crossing.tolist(), red)
             same = st.link[1:] == st.link[:-1]
-            if same.any():
-                gap = (st.x[1:] - st.x[:-1])[same].min()
-                if gap < self.min_gap:
-                    self.min_gap = float(gap)
+        if same.any():
+            gap = (st.x[1:] - st.x[:-1])[same].min()
+            if gap < self.min_gap:
+                self.min_gap = float(gap)
 
-    def _transfers(self, red):
+    def _transfers(self, heap, red):
+        """Move green leaders past their stop line onto their next links.
+
+        heap holds the links whose leader crosses, ascending; sources are
+        taken lowest link id first, which is the order of a scan over the
+        sorted agents. A crosser enters the front of its target segment at
+        the overshoot, clamped d_min behind the target's rear agent, and is
+        blocked at the line when that rear agent is within d_min of the
+        entry.
+        """
         st = self.state
         lens = self.net.length
-        p = self.params
-        while True:
-            ls, xs = st.link, st.x
-            n = st.count
-            lead = np.empty(n, dtype=bool)
-            lead[-1] = True
-            lead[:-1] = ls[1:] != ls[:-1]
-            cross = lead & ~red[ls] & (xs > lens[ls])
-            hits = np.flatnonzero(cross)
-            if hits.size == 0:
-                return
-            i = int(hits[0])
-            src = int(ls[i])
-            tgt = int(st.next_link[i])
+        d_min = self.params.d_min
+        ls, xs, vs, nxt = st.link, st.x, st.v, st.next_link
+        # first[l]: index of link l's rear agent; first[l + 1] - 1 its leader
+        first = ls.searchsorted(np.arange(lens.size + 1))
+        while heap:
+            src = heapq.heappop(heap)
+            s0, i = int(first[src]), int(first[src + 1]) - 1
+            tgt = int(nxt[i])
+            t0, t1 = int(first[tgt]), int(first[tgt + 1])
             overshoot = xs[i] - lens[src]
-            on_tgt = np.flatnonzero(ls == tgt)
-            if on_tgt.size == 0:
+            if t0 == t1:
                 pos = overshoot
             else:
-                rear = float(xs[on_tgt[0]])
-                if rear - p.d_min < 0.0:
+                rear = float(xs[t0])
+                if rear - d_min < 0.0:
                     # no room at the upstream end: wait at the stop line, and
                     # push the follower chain back so spacing stays >= d_min
-                    st.x[i] = lens[src]
-                    st.v[i] = 0.0
+                    xs[i] = lens[src]
+                    vs[i] = 0.0
                     j = i - 1
-                    while j >= 0 and ls[j] == src \
-                            and st.x[j] > st.x[j + 1] - p.d_min:
-                        st.x[j] = st.x[j + 1] - p.d_min
+                    while j >= s0 and xs[j] > xs[j + 1] - d_min:
+                        xs[j] = xs[j + 1] - d_min
                         j -= 1
                     continue
-                pos = min(overshoot, rear - p.d_min)
-            st.link[i] = tgt
-            st.x[i] = pos
-            st.next_link[i] = self._sampler.draw(tgt, self.rng)
-            st.sort()
+                pos = min(overshoot, rear - d_min)
+            follower_crosses = i > s0 and xs[i - 1] > lens[src]
+            v = vs[i]
+            turn = self._sampler.draw(tgt, self.rng)
+            # ties keep the order of a stable sort by (link, x): the mover
+            # goes before equal positions when it comes from a lower link,
+            # after them when it comes from a higher one
+            if src < tgt:
+                k = t0 + int(xs[t0:t1].searchsorted(pos, side="left")) - 1
+                for arr in (ls, xs, vs, nxt):
+                    arr[i:k] = arr[i + 1:k + 1]
+                first[src + 1:tgt + 1] -= 1
+            else:
+                k = t0 + int(xs[t0:t1].searchsorted(pos, side="right"))
+                for arr in (ls, xs, vs, nxt):
+                    arr[k + 1:i + 1] = arr[k:i]
+                first[tgt + 1:src + 1] += 1
+            ls[k], xs[k], vs[k], nxt[k] = tgt, pos, v, turn
+            if follower_crosses:
+                heapq.heappush(heap, src)
+            if t0 == t1 and not red[tgt] and pos > lens[tgt]:
+                heapq.heappush(heap, tgt)

@@ -208,6 +208,13 @@ def validate_config(cfg):
     _require(cfg.series_synth.sigma >= 0, "series_synth", "sigma must be >= 0")
     for name in sorted(_OV_KEYS):
         _require(_is_finite(getattr(cfg.ov, name)), "ov", f"{name} must be finite")
+    if cfg.model == "agents":
+        # init_agents spaces each link's agents length / (count + 1) apart
+        _require(cfg.link_length / (cfg.agents_per_link + 1) >= cfg.ov.d_min,
+                 "agents_per_link",
+                 f"{cfg.agents_per_link} agents on a {cfg.link_length}-long "
+                 f"link cannot keep ov.d_min={cfg.ov.d_min} apart "
+                 "(needs link_length / (agents_per_link + 1) >= ov.d_min)")
     _require(_is_finite(cfg.sigma_in) and cfg.sigma_in > 0, "sigma_in",
              "must be finite and positive")
     _require(_is_int(cfg.trial_average) and cfg.trial_average >= 1,

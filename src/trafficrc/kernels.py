@@ -1,44 +1,20 @@
 """Hot simulation kernels.
 
-The density step is a single numpy implementation whose cost is linear in
-the number of links. The agents substep has a numba-jitted loop and a
-vectorized numpy fallback: the jitted path runs when numba imports and
-TRAFFICRC_NO_NUMBA is unset or "0". Both agents paths apply the same update
-rules (see benchmarks/bench_kernels.py for the agreement and timing
-comparison); each is bit-deterministic on its own.
+Each kernel has one numpy implementation whose cost is linear in its input:
+the density step in the number of links, the agents substep in the number
+of agents. Outputs are bit-deterministic for a given numpy build.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-__all__ = [
-    "ENV_FLAG", "HAVE_NUMBA", "USE_NUMBA", "backend",
-    "density_step", "agents_substep",
-]
-
-ENV_FLAG = "TRAFFICRC_NO_NUMBA"
-
-
-def _flag_disabled():
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0")
-
-
-try:
-    from numba import njit as _njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on the environment
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _flag_disabled()
+__all__ = ["backend", "density_step", "agents_substep"]
 
 
 def backend():
-    """Name of the active kernel backend: "numba" or "numpy"."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 # --- density model ---------------------------------------------------------
@@ -58,77 +34,59 @@ def density_step(q, inv_len, rate, go, dst, n_junctions, src, to, wgt):
 
 # --- multi-agent model -----------------------------------------------------
 
-def _agents_substep_loops(xs, vs, ls, extra, link_len, red, a, vhalf, c, w,
-                          tanh_c, dt, d_min):
-    # Agents arrive sorted by (link, position ascending); segment leaders sit
-    # at segment ends. extra[i] holds the gap beyond the stop line that a
-    # green leader may use (rear of its next link, or the horizon).
-    n = xs.shape[0]
-    for i in range(n):
-        if i + 1 < n and ls[i + 1] == ls[i]:
-            h = xs[i + 1] - xs[i]
-        else:
-            h = link_len[ls[i]] - xs[i] + extra[i]
-        if h < 0.0:
-            h = 0.0
-        vopt = vhalf * (math.tanh((h - c) / w) + tanh_c)
-        v = vs[i] + a * (vopt - vs[i]) * dt
-        vs[i] = v if v > 0.0 else 0.0
-        xs[i] += vs[i] * dt
-    for i in range(n):
-        if i + 1 >= n or ls[i + 1] != ls[i]:
-            if red[ls[i]] and xs[i] > link_len[ls[i]]:
-                xs[i] = link_len[ls[i]]
-                vs[i] = 0.0
-    for i in range(n - 2, -1, -1):
-        if ls[i] == ls[i + 1]:
-            cap = xs[i + 1] - d_min
-            if xs[i] > cap:
-                xs[i] = cap
+def agents_substep(xs, vs, end, extra, same, lead, red_lead, a, vhalf, c, w,
+                   tanh_c, dt, d_min):
+    """One Euler substep over sorted agent arrays, in place.
 
+    Agents are sorted by (link, position ascending), so each link's leader
+    ends its segment. end[i] is the length of agent i's link, same[i] says
+    agents i and i+1 share a link, lead marks the segment leaders and
+    red_lead those of them facing a red light. extra[i] holds the gap beyond
+    the stop line that a green leader may use (rear of its next link, or the
+    horizon).
 
-def agents_substep_numpy(xs, vs, ls, extra, link_len, red, a, vhalf, c, w,
-                         tanh_c, dt, d_min):
+    Velocities relax toward the optimal velocity of the headway, positions
+    advance, red leaders stop at the line, and each follower is clamped to
+    d_min behind the agent ahead, back to front.
+    """
     n = xs.shape[0]
     if n == 0:
         return
-    lead = np.empty(n, dtype=bool)
-    lead[-1] = True
-    same = ls[:-1] == ls[1:]
-    lead[:-1] = ~same
     h = np.empty(n)
     h[:-1] = xs[1:] - xs[:-1]
-    h[lead] = link_len[ls[lead]] - xs[lead] + extra[lead]
+    h[lead] = end[lead] - xs[lead] + extra[lead]
     np.maximum(h, 0.0, out=h)
     vopt = vhalf * (np.tanh((h - c) / w) + tanh_c)
     np.maximum(vs + a * (vopt - vs) * dt, 0.0, out=vs)
     xs += vs * dt
-    over = lead & red[ls] & (xs > link_len[ls])
+    over = red_lead & (xs > end)
     if over.any():
-        xs[over] = link_len[ls[over]]
+        xs[over] = end[over]
         vs[over] = 0.0
-    # follower chain: iterate the parallel clamp to its (unique) fixpoint,
-    # which matches the sequential back-to-front scan bit for bit
-    front = xs[1:]
-    back = xs[:-1]
-    while True:
-        cap = front - d_min
-        viol = same & (back > cap)
-        if not viol.any():
-            break
-        np.minimum(back, cap, out=back, where=viol)
+    viol = same & (xs[:-1] > xs[1:] - d_min)
+    if viol.any():
+        _clamp_followers(xs, same, np.flatnonzero(viol), d_min)
 
 
-if HAVE_NUMBA:
-    _agents_substep_jit = _njit(cache=True)(_agents_substep_loops)
+def _clamp_followers(xs, same, viol, d_min):
+    """The sequential back-to-front clamp xs[i] = min(xs[i], xs[i+1] - d_min),
+    walked only from the violating followers.
 
-
-def agents_substep(xs, vs, ls, extra, link_len, red, a, vhalf, c, w, tanh_c,
-                   dt, d_min):
-    """One Euler substep over sorted agent arrays, in place."""
-    if USE_NUMBA:
-        _agents_substep_jit(xs, vs, ls, extra, link_len, red, a, vhalf, c, w,
-                            tanh_c, dt, d_min)
-    else:
-        agents_substep_numpy(xs, vs, ls, extra, link_len, red, a, vhalf, c, w,
-                             tanh_c, dt, d_min)
+    Above the highest violator nothing moves, so the walk starts there and
+    runs down the chain while the clamp bites. Where it stops, the position
+    is unchanged and the next walk starts at the next violator below; the
+    float operations are those of the full scan, in the same order.
+    """
+    stop = xs.shape[0]
+    for i in viol[::-1].tolist():
+        if i >= stop:
+            continue                # already clamped by the walk above
+        ahead = float(xs[i + 1])
+        j = i
+        while j >= 0 and same[j]:
+            cap = ahead - d_min
+            if not xs[j] > cap:
+                break
+            xs[j] = ahead = cap
+            j -= 1
+        stop = j

@@ -1,9 +1,12 @@
 """Multi-agent model: car following, junction transfers, invariants."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficrc import kernels
 from trafficrc.agents import (AgentSim, AgentState, OVParams,
@@ -86,7 +89,56 @@ def test_link_densities_are_counts_over_length():
     assert k == pytest.approx(np.full(net.n_links, 0.25))
 
 
-# --- kernel path equivalence -------------------------------------------------
+# --- kernel vs sequential-loop oracle -----------------------------------------
+
+def _agents_substep_loops(xs, vs, ls, extra, link_len, red, a, vhalf, c, w,
+                          tanh_c, dt, d_min):
+    """The agents substep agent by agent, in place (the kernel's oracle).
+
+    Agents arrive sorted by (link, position ascending); segment leaders sit
+    at segment ends. extra[i] holds the gap beyond the stop line that a
+    green leader may use (rear of its next link, or the horizon).
+    """
+    n = xs.shape[0]
+    for i in range(n):
+        if i + 1 < n and ls[i + 1] == ls[i]:
+            h = xs[i + 1] - xs[i]
+        else:
+            h = link_len[ls[i]] - xs[i] + extra[i]
+        if h < 0.0:
+            h = 0.0
+        vopt = vhalf * (math.tanh((h - c) / w) + tanh_c)
+        v = vs[i] + a * (vopt - vs[i]) * dt
+        vs[i] = v if v > 0.0 else 0.0
+        xs[i] += vs[i] * dt
+    for i in range(n):
+        if i + 1 >= n or ls[i + 1] != ls[i]:
+            if red[ls[i]] and xs[i] > link_len[ls[i]]:
+                xs[i] = link_len[ls[i]]
+                vs[i] = 0.0
+    for i in range(n - 2, -1, -1):
+        if ls[i] == ls[i + 1]:
+            cap = xs[i + 1] - d_min
+            if xs[i] > cap:
+                xs[i] = cap
+
+
+def run_kernel(xs, vs, ls, extra, link_len, red, *params):
+    """kernels.agents_substep on copies, with the masks _substep builds."""
+    xs, vs = xs.copy(), vs.copy()
+    same = ls[1:] == ls[:-1]
+    lead = np.r_[~same, True]
+    end = link_len[ls]
+    kernels.agents_substep(xs, vs, end, extra, same, lead, lead & red[ls],
+                           *params)
+    return xs, vs
+
+
+def run_oracle(xs, vs, ls, extra, link_len, red, *params):
+    xs, vs = xs.copy(), vs.copy()
+    _agents_substep_loops(xs, vs, ls, extra, link_len, red, *params)
+    return xs, vs
+
 
 def test_agents_kernel_paths_agree():
     rng = np.random.default_rng(3)
@@ -102,18 +154,67 @@ def test_agents_kernel_paths_agree():
     lead = np.r_[ls[1:] != ls[:-1], True]
     extra[lead] = rng.uniform(0.0, 30.0, int(lead.sum()))
 
-    args = (link_len, red, 1.0, 1.0, 2.0, 1.0, math.tanh(2.0), 0.1, 0.1)
-    x_np, v_np = xs.copy(), vs.copy()
-    kernels.agents_substep_numpy(x_np, v_np, ls, extra, *args)
-    x_py, v_py = xs.copy(), vs.copy()
-    kernels._agents_substep_loops(x_py, v_py, ls, extra, *args)
+    args = (ls, extra, link_len, red,
+            1.0, 1.0, 2.0, 1.0, math.tanh(2.0), 0.1, 0.1)
+    x_np, v_np = run_kernel(xs, vs, *args)
+    x_py, v_py = run_oracle(xs, vs, *args)
+    # np.tanh and math.tanh may differ in the last bit
     assert x_np == pytest.approx(x_py, rel=1e-12, abs=1e-14)
     assert v_np == pytest.approx(v_py, rel=1e-12, abs=1e-14)
-    if kernels.HAVE_NUMBA:
-        x_jit, v_jit = xs.copy(), vs.copy()
-        kernels._agents_substep_jit(x_jit, v_jit, ls, extra, *args)
-        assert x_jit == pytest.approx(x_py, rel=1e-12, abs=1e-14)
-        assert v_jit == pytest.approx(v_py, rel=1e-12, abs=1e-14)
+
+
+def compressed_queues(rng, n_links, per_link, d_min, length=20.0):
+    """Sorted agents packed mostly inside d_min of each other near the line."""
+    ls = np.repeat(np.arange(n_links), per_link).astype(np.int64)
+    xs = np.empty(ls.size)
+    for l in range(n_links):
+        gaps = rng.choice([0.0, 0.3 * d_min, 0.9 * d_min, 1.5 * d_min, 4 * d_min],
+                          size=per_link, p=[0.1, 0.4, 0.2, 0.2, 0.1])
+        xs[ls == l] = length - 0.5 - np.cumsum(gaps)[::-1]
+    vs = rng.uniform(0.0, 2.0, ls.size)
+    return ls, xs, vs, np.full(n_links, length)
+
+
+def test_follower_clamp_matches_sequential_oracle_on_a_red_queue():
+    rng = np.random.default_rng(11)
+    d_min = 0.1
+    ls, xs, vs, link_len = compressed_queues(rng, 3, 24, d_min)
+    # link 0: 24 agents spaced 0.02..0.05 apart, behind a red stop line
+    xs[:24] = 19.9 - np.cumsum(rng.uniform(0.2, 0.5, 24) * d_min)[::-1]
+    red = np.array([True, False, True])
+    extra = np.zeros(ls.size)
+    lead = np.r_[ls[1:] != ls[:-1], True]
+    extra[lead] = 1e3
+    # v_scale = 0 makes the optimal velocity exactly 0 on both paths, so the
+    # pre-clamp positions agree bit for bit and the clamps can be compared
+    args = (ls, extra, link_len, red, 1.0, 0.0, 2.0, 1.0, math.tanh(2.0),
+            0.1, d_min)
+    assert np.all(np.diff(xs[:24]) < d_min)   # a long compressed red queue
+    x_np, v_np = run_kernel(xs, vs, *args)
+    x_py, v_py = run_oracle(xs, vs, *args)
+    assert np.array_equal(x_np, x_py)
+    assert np.array_equal(v_np, v_py)
+    same = ls[1:] == ls[:-1]
+    assert np.all(x_np[:-1][same] <= x_np[1:][same] - d_min)
+    assert np.all(x_np[ls == 0] <= 20.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_links=st.integers(1, 5),
+       per_link=st.integers(1, 30), d_min=st.sampled_from([0.0, 0.05, 0.1]))
+def test_follower_clamp_matches_sequential_oracle(seed, n_links, per_link,
+                                                  d_min):
+    rng = np.random.default_rng(seed)
+    ls, xs, vs, link_len = compressed_queues(rng, n_links, per_link,
+                                             max(d_min, 0.05))
+    red = rng.uniform(size=n_links) < 0.5
+    extra = rng.uniform(0.0, 3.0, ls.size)
+    args = (ls, extra, link_len, red, 0.7, 0.0, 2.0, 1.0, math.tanh(2.0),
+            0.5, d_min)
+    x_np, v_np = run_kernel(xs, vs, *args)
+    x_py, v_py = run_oracle(xs, vs, *args)
+    assert np.array_equal(x_np, x_py)
+    assert np.array_equal(v_np, v_py)
 
 
 # --- red light queue vs scalar oracle ----------------------------------------
@@ -284,6 +385,146 @@ def test_transfer_clamps_to_rear_gap():
     entered = int(np.argmin(st.x))
     assert st.x[entered] == pytest.approx(rear_post - p.d_min, rel=1e-12)
     assert st.x[entered] < 1.11  # tighter than the raw overshoot
+
+
+# --- transfers vs the full re-sort reference ---------------------------------
+
+class ResortTransfersSim(AgentSim):
+    """AgentSim whose transfers take the first crossing leader of the sorted
+    arrays, move it, and re-sort all agents, once per transfer: the reference
+    for the in-place insertion."""
+
+    def _transfers(self, heap, red):
+        st = self.state
+        lens = self.net.length
+        p = self.params
+        while True:
+            ls, xs = st.link, st.x
+            n = st.count
+            lead = np.empty(n, dtype=bool)
+            lead[-1] = True
+            lead[:-1] = ls[1:] != ls[:-1]
+            cross = lead & ~red[ls] & (xs > lens[ls])
+            hits = np.flatnonzero(cross)
+            if hits.size == 0:
+                return
+            i = int(hits[0])
+            src = int(ls[i])
+            tgt = int(st.next_link[i])
+            overshoot = xs[i] - lens[src]
+            on_tgt = np.flatnonzero(ls == tgt)
+            if on_tgt.size == 0:
+                pos = overshoot
+            else:
+                rear = float(xs[on_tgt[0]])
+                if rear - p.d_min < 0.0:
+                    st.x[i] = lens[src]
+                    st.v[i] = 0.0
+                    j = i - 1
+                    while j >= 0 and ls[j] == src \
+                            and st.x[j] > st.x[j + 1] - p.d_min:
+                        st.x[j] = st.x[j + 1] - p.d_min
+                        j -= 1
+                    continue
+                pos = min(overshoot, rear - p.d_min)
+            st.link[i] = tgt
+            st.x[i] = pos
+            st.next_link[i] = self._sampler.draw(tgt, self.rng)
+            st.sort()
+
+
+def run_both(net, table, bank, state, params, seed, steps):
+    """Run AgentSim and the re-sort reference from the same start."""
+    out = []
+    for cls in (AgentSim, ResortTransfersSim):
+        sim = cls(net, table, copy.deepcopy(bank), state.copy(), params,
+                  np.random.default_rng(seed))
+        out.append((sim, sim.run(steps)))
+    return out
+
+
+def assert_bitwise_equal(runs):
+    (sim, traj), (ref, ref_traj) = runs
+    for name in ("u", "x1", "x2", "k"):
+        assert np.array_equal(getattr(traj, name), getattr(ref_traj, name)), name
+    for name in ("link", "x", "v", "next_link"):
+        a, b = getattr(sim.state, name), getattr(ref.state, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert sim.min_gap == ref.min_gap
+    assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       d_min=st.sampled_from([0.0, 0.05, 0.1]),
+       dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+def test_transfers_match_full_resort_on_random_lattices(seed, n, d_min, dt):
+    rng = np.random.default_rng(seed)
+    n_links = 4 * n * (n - 1)
+    lengths = rng.uniform(3.0, 20.0, n_links)
+    cap = np.floor(lengths / max(d_min, 0.2)).astype(int) - 1
+    counts = np.minimum(rng.integers(0, 16, n_links), cap)
+    net = build_lattice(n, lengths)
+    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+    bank = PhaseBank.random(net.n_junctions, rng, tau=rng.uniform(5.0, 60.0))
+    p = OVParams(dt=dt, d_min=d_min)
+    state = init_agents(net, table, rng, per_link=counts, params=p)
+    runs = run_both(net, table, bank, state, p, seed, 40)
+    assert_bitwise_equal(runs)
+    assert runs[0][0].state.count == counts.sum()
+
+
+def ring_state(ring, placed):
+    """AgentState from (link, x, v) triples on the ring lattice; each agent's
+    next link is its ring successor."""
+    ring_next = {ring[i]: ring[(i + 1) % 4] for i in range(4)}
+    link = np.array([l for l, _, _ in placed], dtype=np.int64)
+    nxt = np.array([ring_next.get(l, l) for l in link], dtype=np.int64)
+    return AgentState(link, [x for _, x, _ in placed],
+                      [v for _, _, v in placed], nxt)
+
+
+def test_follower_crosses_right_after_its_leader():
+    net, table, bank, ring, _, _, _, _ = ring_setup(1)
+    p = OVParams(dt=1.0, a=0.2, d_min=0.1)
+    src, tgt = ring[0], ring[1]
+    state = ring_state(ring, [(src, 19.0, 2.0), (src, 19.3, 2.0)])
+    runs = run_both(net, table, bank, state, p, 12, 1)
+    assert_bitwise_equal(runs)
+    st = runs[0][0].state
+    # one substep: the leader enters the empty link, then its follower
+    assert np.all(st.link == tgt)
+    assert st.x[0] < st.x[1] and st.x[1] < 2.0
+
+
+def test_entry_into_an_empty_lower_link_shifts_the_agents_between():
+    net, table, bank, ring, _, _, _, _ = ring_setup(1)
+    p = OVParams(dt=1.0, a=0.2, d_min=0.1)
+    src, tgt = ring[3], ring[0]
+    assert tgt < src
+    between = [(l, 10.0, 0.0) for l in range(tgt + 1, src)]
+    state = ring_state(ring, between + [(src, 19.5, 2.0)])
+    runs = run_both(net, table, bank, state, p, 13, 1)
+    assert_bitwise_equal(runs)
+    st = runs[0][0].state
+    assert st.link[0] == tgt and 0.0 < st.x[0] < 2.0
+    assert np.array_equal(st.link[1:], np.arange(tgt + 1, src))
+
+
+@pytest.mark.parametrize("hop", [0, 2])   # ring hops 1 -> 2 and 7 -> 5
+def test_tied_entry_at_zero_spacing_keeps_the_resort_order(hop):
+    net, table, bank, ring, _, _, _, _ = ring_setup(1)
+    p = OVParams(dt=1.0, a=0.2, d_min=0.0)
+    src, tgt = ring[hop], ring[hop + 1]
+    # the overshoot passes the target's rear pair, so the mover enters at
+    # exactly the rear position, tied with two standing agents
+    state = ring_state(ring, [(src, 19.5, 2.0), (tgt, 0.3, 0.0),
+                              (tgt, 0.3, 0.0)])
+    runs = run_both(net, table, bank, state, p, 14, 1)
+    assert_bitwise_equal(runs)
+    st = runs[0][0].state
+    on_tgt = st.link == tgt
+    assert on_tgt.sum() == 3 and np.all(st.x[on_tgt][:2] == st.x[on_tgt][0])
 
 
 # --- global invariants -------------------------------------------------------

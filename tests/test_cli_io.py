@@ -101,6 +101,27 @@ def test_validation_rejects_infinite_nested_values(group, name):
         config_from_dict({"n": 2, group: {name: math.inf}})
 
 
+@pytest.mark.parametrize("patch", [
+    {"agents_per_link": 250},                 # 20 / 251 < d_min = 0.1
+    {"ov": {"d_min": 25.0}},                  # 20 / 11 < 25
+    {"link_length": 1.0, "agents_per_link": 10},
+])
+def test_agent_spacing_is_refused_at_config_time(patch):
+    # without the check, init_agents fails mid-run naming a link, not a key
+    data = {"model": "agents", "n": 2}
+    data.update(patch)
+    with pytest.raises(ConfigError, match="'agents_per_link'.*d_min"):
+        config_from_dict(data)
+
+
+def test_agent_spacing_bound_is_inclusive_and_agents_only():
+    # 20 / (199 + 1) == 0.1 exactly: the agents still fit
+    cfg = config_from_dict({"model": "agents", "n": 2, "agents_per_link": 199})
+    assert cfg.agents_per_link == 199
+    # the density model places no agents
+    assert config_from_dict({"n": 2, "agents_per_link": 250}).model == "density"
+
+
 def test_list_fields_become_tuples():
     cfg = config_from_dict({"n": 2, "tau": [80.0, 90.0, 100.0, 110.0],
                             "turn_weights": [0.2, 0.3, 0.5],
