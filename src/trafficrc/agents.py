@@ -5,12 +5,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .density import ReservoirSnapshot, _run_trajectory
-from .signals import link_go, reservoir_observables
+from .density import ReservoirSnapshot, Trajectory, _run_trajectory
+from .lattice import TurnTable
+from .signals import PhaseBank, link_go, reservoir_observables
 
 __all__ = [
     "OVParams", "ov_velocity", "AgentState", "init_agents",
@@ -164,6 +166,15 @@ def agent_link_densities(state, net):
     return counts / net.length
 
 
+class _UnionNet(NamedTuple):
+    """The parts of a network that a step reads, for networks side by side."""
+    n_links: int
+    n_junctions: int
+    link_to: np.ndarray
+    length: np.ndarray
+    link_axis_ns: np.ndarray
+
+
 class AgentSim:
     """Steps the multi-agent model; emits reservoir snapshots.
 
@@ -173,6 +184,10 @@ class AgentSim:
     stationary obstacle at the stop line; a leader crossing on green moves to
     its pre-drawn outgoing link at x - L with velocity kept, and is blocked
     at the line when the target link has no room at its upstream end.
+
+    A sim holds one or more blocks (see union): independent networks, each
+    with its own turn table, phases, agents and rng, stepped in one set of
+    arrays. A sim built from one network is a single block.
     """
 
     def __init__(self, net, table, bank, state, params, rng):
@@ -185,11 +200,90 @@ class AgentSim:
         self.bank = bank
         self.state = state
         self.params = params
-        self.rng = rng
+        self.rngs = [rng]
         self.t = 0
-        self.min_gap = math.inf
+        self.min_gaps = np.full(1, math.inf)
         self._sampler = _TurnSampler(table)
         self._tanh_c = math.tanh(params.c / params.w)
+        self._index_blocks([net.n_links], [net.n_junctions])
+
+    @classmethod
+    def union(cls, sims):
+        """One sim that steps the blocks of `sims` side by side.
+
+        Block ids run in the order of `sims`, and each block's link and
+        junction ids follow those of the blocks before it. Blocks never
+        exchange agents, transfers stay lowest link id first and turn draws
+        take the rng of the target link's block, so every block steps bit
+        for bit as its own sim would. The sims must share params and time;
+        they are not advanced themselves, but their rngs are shared.
+        """
+        first = sims[0]
+        if any(s.params != first.params or s.t != first.t for s in sims):
+            raise ValueError("union blocks must share params and time")
+        lo = np.cumsum([0] + [s.net.n_links for s in sims])
+        jo = np.cumsum([0] + [s.net.n_junctions for s in sims])
+        net = _UnionNet(
+            int(lo[-1]), int(jo[-1]),
+            np.concatenate([s.net.link_to + j for s, j in zip(sims, jo)]),
+            np.concatenate([s.net.length for s in sims]),
+            np.concatenate([s.net.link_axis_ns for s in sims]))
+        table = TurnTable(
+            np.concatenate([np.where(s.table.idx >= 0, s.table.idx + o, -1)
+                            for s, o in zip(sims, lo)]),
+            np.concatenate([s.table.wgt for s in sims]),
+            np.concatenate([s.table.cnt for s in sims]))
+        sts = [s.state for s in sims]
+        state = AgentState(
+            np.concatenate([st.link + o for st, o in zip(sts, lo)]),
+            np.concatenate([st.x for st in sts]),
+            np.concatenate([st.v for st in sts]),
+            np.concatenate([st.next_link + o for st, o in zip(sts, lo)]))
+        sim = cls(net, table, PhaseBank.concat([s.bank for s in sims]), state,
+                  first.params, None)
+        sim.t = first.t
+        sim.rngs = [r for s in sims for r in s.rngs]
+        sim.min_gaps = np.concatenate([s.min_gaps for s in sims])
+        sim._index_blocks(np.concatenate([np.diff(s._link_off) for s in sims]),
+                          np.concatenate([np.diff(s._junction_off) for s in sims]))
+        return sim
+
+    def _index_blocks(self, links, junctions):
+        """Block offsets from the per-block link and junction counts."""
+        self._link_off = np.cumsum(np.r_[0, links])
+        self._junction_off = np.cumsum(np.r_[0, junctions])
+        self._block_of_link = np.repeat(np.arange(len(links)), links).tolist()
+        # a block's agents stay on its links, so its agent slice is fixed;
+        # min_gap reduces over the slices of the blocks that have agents
+        agent_off = self.state.link.searchsorted(self._link_off)
+        self._gap_of = np.flatnonzero(np.diff(agent_off))
+        self._gap_at = agent_off[self._gap_of]
+
+    @property
+    def blocks(self):
+        return len(self.rngs)
+
+    @property
+    def min_gap(self):
+        """Smallest same-link spacing seen by any block (inf before any)."""
+        return float(self.min_gaps.min())
+
+    def split(self, traj):
+        """Per-block trajectories of a run of this sim, in block order.
+
+        Each gets C-contiguous arrays of its own columns, laid out as those
+        of a run of the block's own sim.
+        """
+        jo, lo = self._junction_off, self._link_off
+        out = []
+        for b in range(self.blocks):
+            js, ls = slice(jo[b], jo[b + 1]), slice(lo[b], lo[b + 1])
+            out.append(Trajectory(
+                traj.t0, np.ascontiguousarray(traj.u[:, js]),
+                np.ascontiguousarray(traj.x1[:, js]),
+                np.ascontiguousarray(traj.x2[:, js]),
+                np.ascontiguousarray(traj.k[:, ls])))
+        return out
 
     def step(self, u_ext=None):
         """Advance one reservoir step; returns the pre-movement snapshot."""
@@ -241,10 +335,11 @@ class AgentSim:
         if crossing.size:
             self._transfers(crossing.tolist(), red)
             same = st.link[1:] == st.link[:-1]
-        if same.any():
-            gap = (st.x[1:] - st.x[:-1])[same].min()
-            if gap < self.min_gap:
-                self.min_gap = float(gap)
+        # per-block minimum of the same-link gaps, one reduceat over blocks
+        gap = np.full(n, np.inf)
+        np.subtract(st.x[1:], st.x[:-1], out=gap[:-1], where=same)
+        np.minimum.at(self.min_gaps, self._gap_of,
+                      np.minimum.reduceat(gap, self._gap_at))
 
     def _transfers(self, heap, red):
         """Move green leaders past their stop line onto their next links.
@@ -254,7 +349,8 @@ class AgentSim:
         sorted agents. A crosser enters the front of its target segment at
         the overshoot, clamped d_min behind the target's rear agent, and is
         blocked at the line when that rear agent is within d_min of the
-        entry.
+        entry. The blocks of a union share the heap; restricted to one block
+        it pops that block's links in the same ascending order.
         """
         st = self.state
         lens = self.net.length
@@ -285,7 +381,7 @@ class AgentSim:
                 pos = min(overshoot, rear - d_min)
             follower_crosses = i > s0 and xs[i - 1] > lens[src]
             v = vs[i]
-            turn = self._sampler.draw(tgt, self.rng)
+            turn = self._sampler.draw(tgt, self.rngs[self._block_of_link[tgt]])
             # ties keep the order of a stable sort by (link, x): the mover
             # goes before equal positions when it comes from a lower link,
             # after them when it comes from a higher one

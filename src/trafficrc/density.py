@@ -11,7 +11,7 @@ from .signals import link_go, reservoir_observables
 
 __all__ = [
     "ReservoirSnapshot", "Trajectory",
-    "init_density", "link_density", "DensitySim",
+    "init_density", "DensitySim",
 ]
 
 
@@ -84,11 +84,6 @@ def init_density(net, total_vehicles, rng=None, how="random"):
             raise ValueError('init "random" requires an rng')
         return rng.dirichlet(np.ones(net.n_links)) * total
     raise ValueError(f"unknown init mode {how!r}")
-
-
-def link_density(q, net, link):
-    """Density k = Q/L of one link."""
-    return q[link] / net.length[link]
 
 
 def _run_trajectory(sim, steps, inputs):

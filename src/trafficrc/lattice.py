@@ -9,7 +9,7 @@ import numpy as np
 __all__ = [
     "N", "E", "S", "W", "DIR_NAMES",
     "Network", "TurnTable",
-    "build_lattice", "assign_turn_table", "axis_partition",
+    "build_lattice", "assign_turn_table",
     "save_network", "load_network",
 ]
 
@@ -196,15 +196,6 @@ def assign_turn_table(net, w, rng=None, permute=True):
         wgt[l, :k] = vals
         cnt[l] = k
     return TurnTable(idx, wgt, cnt)
-
-
-def axis_partition(net, junction):
-    """Incoming links of a junction split into (north-south, east-west) axes."""
-    if not (0 <= junction < net.n_junctions):
-        raise ValueError(f"junction {junction} out of range")
-    ins = net.in_links[junction]
-    ns = ins[net.link_axis_ns[ins]]
-    return ns, ins[~net.link_axis_ns[ins]]
 
 
 def save_network(path, net, table=None):

@@ -88,10 +88,30 @@ class PhaseBank:
         return self
 
     def copy(self):
-        out = PhaseBank(self.tau, self.xi, mode=self.mode, win=self.win,
-                        ns_stop_first=self.ns_stop_first)
-        out.theta = self.theta.copy()
-        out._input_acc = self._input_acc.copy()
+        return PhaseBank.concat([self])
+
+    @classmethod
+    def concat(cls, banks):
+        """One bank holding `banks` side by side, in their current state.
+
+        Bank b's junctions follow those of banks 0..b-1 and keep their own
+        tau, xi, input weights, stop convention and phase. Every update is
+        elementwise, so each slice steps exactly as its bank would. The banks
+        must share a mode and either all have input weights or none.
+        """
+        first = banks[0]
+        if any(b.mode != first.mode or (b.win is None) != (first.win is None)
+               for b in banks):
+            raise ValueError("banks must share a mode and an input setting")
+
+        def cat(name):
+            return np.concatenate([getattr(b, name) for b in banks])
+
+        out = cls(cat("tau"), cat("xi"), mode=first.mode,
+                  win=None if first.win is None else cat("win"),
+                  ns_stop_first=cat("ns_stop_first"))
+        out.theta = cat("theta")
+        out._input_acc = cat("_input_acc")
         return out
 
 

@@ -13,7 +13,8 @@ Three tasks are implemented:
 Trials are paired through per-purpose rng streams derived from
 (seed, trial, stream id), so every value of a parameter sweep sees the same
 random networks, initial states, and phases. Each experiment is a reservoir
-run (_simulate) followed by a task readout of its trajectory.
+run (_simulate) followed by a task readout of its trajectory; small agents
+lattices run a batch of trials as one disjoint-union simulation.
 """
 
 from __future__ import annotations
@@ -186,27 +187,58 @@ def _score(cfg, trial, fdef, x, teacher):
                        t0, per_output=tuple(per_output))
 
 
-def _simulate(cfg, trial, steps, inputs=None):
-    """Build one trial's reservoir from its rng streams and run it `steps` steps.
+# agents trials per union: enough blocks for about this many links. Two n=3
+# blocks (48 links) step a trial about 30% cheaper than one; more blocks save
+# more but keep more trajectories alive, and n >= 4 stays one trial a time.
+_BATCH_LINKS = 48
+
+
+def _batches(cfg):
+    """Trials in order, cut into the batches that _simulate runs together.
+
+    An agents batch holds min(trials, ceil(_BATCH_LINKS / n_links)) trials,
+    so small lattices share one union and n >= 4 runs one trial at a time;
+    density trials always run one at a time.
+    """
+    size = 1
+    if cfg.model == "agents":
+        size = min(cfg.trials, -(-_BATCH_LINKS // cfg.n_links))
+    return [range(b, min(b + size, cfg.trials))
+            for b in range(0, cfg.trials, size)]
+
+
+def _simulate(cfg, trials, steps, inputs=None):
+    """Build the trials' reservoirs from their rng streams and run them
+    `steps` steps.
 
     The readout fields (p, M, beta) play no part. inputs[t], if given, is
-    injected at step t through the trial's input weights. Returns (net, traj).
+    injected at step t through each trial's input weights. Agents trials run
+    as the blocks of one union sim, density trials one after another.
+    Returns one (net, traj) per trial, in order.
     """
     net = build_lattice(cfg.n, cfg.link_length)
-    table = assign_turn_table(net, cfg.turn_weights,
-                              stream_rng(cfg.seed, trial, STREAM_TURNS))
-    rng_input = None if inputs is None else stream_rng(cfg.seed, trial, STREAM_INPUT)
-    bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE), rng_input)
+    sims = []
+    for trial in trials:
+        table = assign_turn_table(net, cfg.turn_weights,
+                                  stream_rng(cfg.seed, trial, STREAM_TURNS))
+        rng_input = None if inputs is None \
+            else stream_rng(cfg.seed, trial, STREAM_INPUT)
+        bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE),
+                           rng_input)
+        if cfg.model == "agents":
+            rng_agents = stream_rng(cfg.seed, trial, STREAM_AGENTS)
+            state = init_agents(net, table, rng_agents,
+                                per_link=cfg.agents_per_link, params=cfg.ov)
+            sims.append(AgentSim(net, table, bank, state, cfg.ov, rng_agents))
+        else:
+            q0 = init_density(net, cfg.total_vehicles,
+                              stream_rng(cfg.seed, trial, STREAM_INIT),
+                              how=cfg.init)
+            sims.append(DensitySim(net, table, bank, q0))
     if cfg.model == "agents":
-        rng_agents = stream_rng(cfg.seed, trial, STREAM_AGENTS)
-        state = init_agents(net, table, rng_agents,
-                            per_link=cfg.agents_per_link, params=cfg.ov)
-        sim = AgentSim(net, table, bank, state, cfg.ov, rng_agents)
-    else:
-        q0 = init_density(net, cfg.total_vehicles,
-                          stream_rng(cfg.seed, trial, STREAM_INIT), how=cfg.init)
-        sim = DensitySim(net, table, bank, q0)
-    return net, sim.run(steps, inputs=inputs)
+        sim = AgentSim.union(sims)
+        return [(net, traj) for traj in sim.split(sim.run(steps, inputs=inputs))]
+    return [(net, sim.run(steps, inputs=inputs)) for sim in sims]
 
 
 def _read_density(cfg, trial, net, traj):
@@ -307,13 +339,19 @@ def _plan(cfg, series=None):
 
 
 def run_experiment(cfg, series=None):
-    """Run every trial of the configured (task, model); returns the trial list."""
+    """Run every trial of the configured (task, model); returns the trial list.
+
+    cfg is validated here, so a config whose model or task was switched
+    after loading is checked as it runs.
+    """
+    _io.validate_config(cfg)
     inputs, readout = _plan(cfg, series)
     if readout is None:
         return []
     steps = _span(cfg)[0]
-    return [readout(trial, *_simulate(cfg, trial, steps, inputs))
-            for trial in range(cfg.trials)]
+    return [readout(trial, net, traj) for batch in _batches(cfg)
+            for trial, (net, traj) in zip(batch, _simulate(cfg, batch, steps,
+                                                           inputs))]
 
 
 def run_task1_density(cfg):
@@ -381,7 +419,8 @@ def sweep(cfg, param, values, series=None):
     once per distinct reservoir run and every value sharing that run is read
     out of it: p, M and beta never change the run, and on the density_link
     task a larger T only lengthens it, so the longest span serves every T.
-    Trials run outermost, so one trajectory is alive at a time.
+    Batches of trials (see _batches) run outermost, so one batch is alive
+    at a time.
     """
     if param not in _SWEEP_PARAMS:
         raise _io.ConfigError(
@@ -398,14 +437,15 @@ def sweep(cfg, param, values, series=None):
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
     groups = ([live] if live else []) if shared else [[v] for v in live]
     by_value = {v: [] for v in plans}
-    for trial in range(cfg.trials):
+    for batch in _batches(cfg):
         for group in groups:
             cfg_v, inputs, _ = plans[group[0]]
             steps = max(_span(plans[v][0])[0] for v in group)
-            net, traj = _simulate(cfg_v, trial, steps, inputs)
-            for v in group:
-                by_value[v].append(plans[v][2](trial, net, traj))
-            del net, traj
+            runs = _simulate(cfg_v, batch, steps, inputs)
+            for trial, (net, traj) in zip(batch, runs):
+                for v in group:
+                    by_value[v].append(plans[v][2](trial, net, traj))
+            del runs, net, traj
     rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
     return SweepResult(param, tuple(by_value), by_value, rows)
 
@@ -414,4 +454,4 @@ def run_simulation(cfg, steps=None):
     """Run the configured model once (trial 0 streams) and return (net, trajectory)."""
     if steps is None:
         steps = cfg.steps if cfg.steps is not None else _span(cfg)[0]
-    return _simulate(cfg, 0, steps)
+    return _simulate(cfg, [0], steps)[0]

@@ -12,7 +12,8 @@ from trafficrc import kernels
 from trafficrc.agents import (AgentSim, AgentState, OVParams,
                               agent_link_densities, init_agents, ov_velocity)
 from trafficrc.lattice import assign_turn_table, build_lattice
-from trafficrc.signals import PhaseBank, link_go
+from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
+                               PhaseBank, link_go)
 
 
 # --- optimal velocity function -----------------------------------------------
@@ -429,7 +430,7 @@ class ResortTransfersSim(AgentSim):
                 pos = min(overshoot, rear - p.d_min)
             st.link[i] = tgt
             st.x[i] = pos
-            st.next_link[i] = self._sampler.draw(tgt, self.rng)
+            st.next_link[i] = self._sampler.draw(tgt, self.rngs[0])
             st.sort()
 
 
@@ -451,7 +452,7 @@ def assert_bitwise_equal(runs):
         a, b = getattr(sim.state, name), getattr(ref.state, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert sim.min_gap == ref.min_gap
-    assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert sim.rngs[0].bit_generator.state == ref.rngs[0].bit_generator.state
 
 
 @settings(max_examples=30, deadline=None)
@@ -472,6 +473,80 @@ def test_transfers_match_full_resort_on_random_lattices(seed, n, d_min, dt):
     runs = run_both(net, table, bank, state, p, seed, 40)
     assert_bitwise_equal(runs)
     assert runs[0][0].state.count == counts.sum()
+
+
+# --- disjoint unions of blocks vs solo runs ----------------------------------
+
+def random_block(rng, n, params, mode, empty=False):
+    """Network, turn table, phase bank (per-junction tau and stop
+    convention) and agents of one random block."""
+    n_links = 4 * n * (n - 1)
+    lengths = rng.uniform(3.0, 20.0, n_links)
+    cap = np.floor(lengths / max(params.d_min, 0.2)).astype(int) - 1
+    counts = np.minimum(rng.integers(0, 16, n_links), cap) * (not empty)
+    net = build_lattice(n, lengths)
+    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+    nj = net.n_junctions
+    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
+                     mode=mode, ns_stop_first=rng.uniform(size=nj) < 0.5)
+    state = init_agents(net, table, rng, per_link=counts, params=params)
+    return net, table, bank, state
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(2, 4),
+       d_min=st.sampled_from([0.0, 0.05, 0.1]),
+       dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+       mode=st.sampled_from([MODE_CONSTANT_RATE, MODE_LITERAL]),
+       empty=st.integers(-1, 3))
+def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, mode, empty):
+    rng = np.random.default_rng(seed)
+    p = OVParams(dt=dt, d_min=d_min)
+    blocks = [random_block(rng, n, p, mode, empty=b == empty) for b in range(k)]
+
+    def sims():
+        return [AgentSim(net, table, copy.deepcopy(bank), state.copy(), p,
+                         np.random.default_rng((seed, b)))
+                for b, (net, table, bank, state) in enumerate(blocks)]
+
+    solo = sims()
+    solo_trajs = [sim.run(40) for sim in solo]
+    union = AgentSim.union(sims())
+    trajs = union.split(union.run(40))
+    assert union.blocks == len(trajs) == k
+    for b, (sim, ref) in enumerate(zip(solo, solo_trajs)):
+        for name in ("u", "x1", "x2", "k"):
+            got, want = getattr(trajs[b], name), getattr(ref, name)
+            assert got.flags.c_contiguous and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        # block b holds links [b * n_links, (b + 1) * n_links) of the union
+        offset = b * sim.net.n_links
+        mine = union.state.link // sim.net.n_links == b
+        for name in ("link", "x", "v", "next_link"):
+            got, want = getattr(union.state, name)[mine], getattr(sim.state, name)
+            if name in ("link", "next_link"):
+                got = got - offset
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert union.min_gaps[b] == sim.min_gap
+        assert (union.rngs[b].bit_generator.state
+                == sim.rngs[0].bit_generator.state)
+    assert union.min_gap == min(sim.min_gap for sim in solo)
+
+
+def test_union_refuses_blocks_out_of_step():
+    net, table, bank, state = random_block(np.random.default_rng(15), 2,
+                                           OVParams(), MODE_CONSTANT_RATE)
+
+    def sim(params):
+        return AgentSim(net, table, bank.copy(), state.copy(), params,
+                        np.random.default_rng(0))
+
+    ahead = sim(OVParams())
+    ahead.step()
+    with pytest.raises(ValueError, match="time"):
+        AgentSim.union([sim(OVParams()), ahead])
+    with pytest.raises(ValueError, match="params"):
+        AgentSim.union([sim(OVParams()), sim(OVParams(dt=0.5))])
 
 
 def ring_state(ring, placed):

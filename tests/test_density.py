@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficrc import kernels
-from trafficrc.density import DensitySim, init_density, link_density
+from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
 from trafficrc.signals import PhaseBank, link_go
@@ -45,13 +45,6 @@ def test_init_errors():
         init_density(net, 10.0, how="random")  # rng required
     with pytest.raises(ValueError):
         init_density(net, 10.0, how="banana")
-
-
-def test_link_density_uses_length():
-    net = build_lattice(2, 4.0)
-    q = np.zeros(net.n_links)
-    q[3] = 2.0
-    assert link_density(q, net, 3) == 0.5
 
 
 # --- kernel equivalence ------------------------------------------------------

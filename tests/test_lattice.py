@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trafficrc.lattice import (E, N, S, W, assign_turn_table, axis_partition,
+from trafficrc.lattice import (E, N, S, W, assign_turn_table,
                                build_lattice, load_network, save_network)
 
 
@@ -55,17 +55,20 @@ def test_reverse_links_pair_up():
     assert np.all(net.link_to[rev] == net.link_from)
 
 
-def test_axis_partition_is_consistent():
+def test_incoming_links_ride_their_travel_axis():
     net = build_lattice(3)
     j = net.junction_id(1, 1)
-    ns, ew = axis_partition(net, j)
-    assert sorted(np.concatenate([ns, ew])) == sorted(net.in_links[j])
-    assert np.all(net.link_axis_ns[ns])
-    assert not np.any(net.link_axis_ns[ew])
+    ins = net.in_links[j]
+    # the centre junction has one incoming link from each side, two per axis
+    assert sorted(net.link_dir[ins].tolist()) == [N, E, S, W]
+    assert np.array_equal(net.link_axis_ns[ins],
+                          np.isin(net.link_dir[ins], (N, S)))
+    assert net.link_axis_ns[ins].sum() == 2
     # a northbound link rides the NS axis, an eastbound one the EW axis
     north = net.link_index(net.junction_id(1, 0), j)
     east = net.link_index(net.junction_id(0, 1), j)
-    assert north in ns and east in ew
+    assert north in ins and east in ins
+    assert net.link_axis_ns[north] and not net.link_axis_ns[east]
 
 
 def test_link_length_variants():

@@ -98,6 +98,36 @@ def test_copy_is_independent():
 
 # --- go/stop mapping ---------------------------------------------------------
 
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_RATE, MODE_LITERAL])
+def test_concatenated_banks_step_as_their_parts(mode):
+    rng = np.random.default_rng(12)
+    parts = [PhaseBank.random(n, rng, tau=rng.uniform(5.0, 60.0), mode=mode,
+                              sigma_in=0.5,
+                              ns_stop_first=rng.uniform(size=n) < 0.5)
+             for n in (4, 1, 9)]
+    parts[0].step(0, 0.7)   # a bank already under way keeps its state
+    for b in parts[1:]:
+        b.step(0, 0.7)
+    joined = PhaseBank.concat(parts)
+    for t in range(1, 60):
+        u = float(rng.normal())
+        joined.step(t, u)
+        for b in parts:
+            b.step(t, u)
+    assert joined.theta.tobytes() == np.concatenate(
+        [b.theta for b in parts]).tobytes()
+    assert np.array_equal(joined.ns_stop_first,
+                          np.concatenate([b.ns_stop_first for b in parts]))
+
+
+def test_concat_refuses_mixed_banks():
+    a = PhaseBank(10.0, np.zeros(2))
+    with pytest.raises(ValueError, match="mode"):
+        PhaseBank.concat([a, PhaseBank(10.0, np.zeros(2), mode=MODE_LITERAL)])
+    with pytest.raises(ValueError, match="input"):
+        PhaseBank.concat([a, PhaseBank(10.0, np.zeros(2), win=np.ones(2))])
+
+
 def test_signal_state_convention():
     theta = np.array([0.0, 0.5, np.pi - 1e-9, np.pi, 4.0, TWO_PI - 1e-9])
     first_half = np.array([True, True, True, False, False, False])

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from trafficrc import tasks
 from trafficrc.agents import AgentSim
 from trafficrc.density import DensitySim
 from trafficrc.io import ConfigError, config_from_dict
@@ -109,6 +110,9 @@ _SMALL_AGENTS = dict(model="agents", task="density_link", n=2, T=2, M=3,
 _SMALL_SERIES = dict(model="density", task="external_series", n=3, T=2,
                      washout=20, train=150, test=60, trials=3, seed=9)
 _SMALL = {"density": _SMALL_DENSITY, "agents": _SMALL_AGENTS, "series": _SMALL_SERIES}
+# simulations per trial loop: both agents trials (8 links) share one union,
+# density trials run one at a time
+_RUNS = {"density": 3, "agents": 1, "series": 3}
 
 
 def test_density_task_shapes_and_determinism():
@@ -160,6 +164,18 @@ def test_agents_monitor_none():
     cfg = config_from_dict(dict(_SMALL_AGENTS, M=0, trials=1))
     res = run_task1_agents(cfg)
     assert res[0].teacher.shape[0] == cfg.n_links
+
+
+def test_task_runners_validate_the_config_they_run():
+    # density defaults (1-long links) under the agents model cannot space
+    # 10 agents per link d_min apart
+    cfg = config_from_dict({"n": 2, "M": 4, "T": 2, "washout": 15,
+                            "train": 80, "test": 40, "trials": 1})
+    with pytest.raises(ConfigError, match="agents_per_link"):
+        run_task1_agents(cfg)
+    agents = config_from_dict(dict(_SMALL_AGENTS, trials=1))
+    res = run_task1_density(agents)
+    assert len(res) == 1 and np.isfinite(res[0].score)
 
 
 def test_series_task_runs_on_synth_default():
@@ -345,14 +361,14 @@ def sim_runs(monkeypatch):
 def test_readout_sweeps_simulate_each_trial_once(sim_runs, kind, param, values):
     cfg = config_from_dict(dict(_SMALL[kind]))
     sweep(cfg, param, values)
-    assert sim_runs == [cfg.washout + cfg.T + cfg.train + cfg.test] * cfg.trials
+    assert sim_runs == [cfg.washout + cfg.T + cfg.train + cfg.test] * _RUNS[kind]
 
 
 @pytest.mark.parametrize("kind", ["density", "agents"])
 def test_task1_horizon_sweep_simulates_the_longest_span_once(sim_runs, kind):
     cfg = config_from_dict(dict(_SMALL[kind]))
     sweep(cfg, "T", [1, 6, 3])
-    assert sim_runs == [cfg.washout + 6 + cfg.train + cfg.test] * cfg.trials
+    assert sim_runs == [cfg.washout + 6 + cfg.train + cfg.test] * _RUNS[kind]
 
 
 def test_task2_horizon_sweep_simulates_each_value(sim_runs):
@@ -360,6 +376,25 @@ def test_task2_horizon_sweep_simulates_each_value(sim_runs):
     sweep(cfg, "T", [1, 4])
     span = cfg.washout + cfg.train + cfg.test
     assert sim_runs == [span + 1, span + 4] * cfg.trials
+
+
+def test_agents_batches_match_solo_trials_with_a_partial_last_batch(
+        sim_runs, monkeypatch):
+    # n=2 has 8 links, so a batch holds 6 trials: batches of 6 and 1
+    cfg = config_from_dict(dict(_SMALL_AGENTS, trials=7))
+    span = cfg.washout + cfg.T + cfg.train + cfg.test
+    batched = run_experiment(cfg)
+    swept = sweep(cfg, "M", [3, 5])
+    assert sim_runs == [span] * 4
+    monkeypatch.setattr(tasks, "_BATCH_LINKS", 1)   # every trial on its own
+    del sim_runs[:]
+    solo = run_experiment(cfg)
+    assert sim_runs == [span] * 7
+    assert [r.trial for r in batched] == list(range(7))
+    _assert_same_trials(batched, solo)
+    _assert_same_trials(swept.by_value[3], solo)
+    _assert_same_trials(swept.by_value[5], run_experiment(
+        dataclasses.replace(cfg, M=5)))
 
 
 @pytest.mark.parametrize("kind,param,values,key", [
