@@ -2,20 +2,21 @@
 
 Everything runs in-process on the numpy kernels. For each n the model is
 built from the default config of its model (seed 7, so agents use 20-long
-links with 10 agents each), run --warmup steps so the agents leave their
-standing start, then each of --steps steps is timed on its own. One
-reservoir step of the agents model is round(1/dt) Euler substeps plus the
-junction transfers. Reports the median and quartiles of ms per step and the
-median us per link per step, which stays flat when a step is linear in the
-lattice size.
+links with 10 agents each) and runs --warmup steps so the agents leave their
+standing start. The timed steps then run as 20 rounds of run(steps / 20),
+and a round's time per step is run(s) / s: it includes what a run pays
+besides the steps, the phase schedule and gates computed before the step
+loop and the trajectory it records. One reservoir step of the agents model
+is round(1/dt) Euler substeps plus the junction transfers. Reports the
+median and quartiles of ms per step over rounds and the median us per link
+per step, which stays flat when a step is linear in the lattice size.
 
 The agents union rows time one AgentSim.union of K blocks of the n = 3
 agents model (block b seeded 7 + b), as the tasks batch paired trials: ms
 per step per trial and us per link show how far K blocks in one set of
 arrays amortise the per-call overhead of a small lattice. The unions are
-timed round-robin, 20 rounds of --agents-steps / 20 steps each, so a drift
-of the host's speed reaches every K alike; the figures are the median and
-quartiles over rounds.
+timed round-robin, one round of each K in turn, so a drift of the host's
+speed reaches every K alike.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --agents-n 3,6,10 --density-n 5,10,20,40 --json out.json
@@ -33,7 +34,7 @@ from trafficrc.agents import AgentSim, init_agents
 from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import assign_turn_table, build_lattice
-from trafficrc.signals import PhaseBank
+from trafficrc.tasks import _phase_bank
 
 
 def build_sim(model, n, seed=7):
@@ -41,7 +42,7 @@ def build_sim(model, n, seed=7):
     rng = np.random.default_rng(cfg.seed)
     net = build_lattice(cfg.n, cfg.link_length)
     table = assign_turn_table(net, cfg.turn_weights, rng)
-    bank = PhaseBank.random(net.n_junctions, rng, tau=cfg.tau)
+    bank = _phase_bank(cfg, rng)
     if model == "agents":
         state = init_agents(net, table, rng, per_link=cfg.agents_per_link,
                             params=cfg.ov)
@@ -50,38 +51,22 @@ def build_sim(model, n, seed=7):
     return DensitySim(net, table, bank, q0)
 
 
-def time_steps(sim, steps, warmup):
-    for _ in range(warmup):
-        sim.step()
-    ms = np.empty(steps)
-    for s in range(steps):
-        start = time.perf_counter()
-        sim.step()
-        ms[s] = (time.perf_counter() - start) * 1e3
-    q1, med, q3 = np.percentile(ms, [25, 50, 75])
-    n_links = sim.net.n_links
-    return {"links": n_links, "steps": steps,
-            "ms_per_step": {"median": round(med, 4), "q1": round(q1, 4),
-                            "q3": round(q3, 4), "mean": round(ms.mean(), 4)},
-            "us_per_link": round(med * 1e3 / n_links, 3)}
-
-
 UNION_N = 3
-UNION_ROUNDS = 20
+ROUNDS = 20
 
 
-def time_round_robin(sims, steps, warmup, rounds):
-    """ms per step of each sim, timed in turn `rounds` times."""
+def time_round_robin(sims, steps, warmup):
+    """ms per step of each sim: ROUNDS rounds of run(steps / ROUNDS), the
+    sims taking turns within each round. Returns the median, quartiles and
+    mean over rounds, one dict per sim."""
     for sim in sims:
-        for _ in range(warmup):
-            sim.step()
-    per = max(1, steps // rounds)
-    ms = np.empty((len(sims), rounds))
-    for r in range(rounds):
+        sim.run(warmup)
+    per = max(1, steps // ROUNDS)
+    ms = np.empty((len(sims), ROUNDS))
+    for r in range(ROUNDS):
         for i, sim in enumerate(sims):
             start = time.perf_counter()
-            for _ in range(per):
-                sim.step()
+            sim.run(per)
             ms[i, r] = (time.perf_counter() - start) * 1e3 / per
     return [{"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4),
              "mean": round(row.mean(), 4)}
@@ -103,7 +88,7 @@ def main(argv=None):
                     help="block counts of the n=3 agents unions")
     ap.add_argument("--agents-steps", type=int, default=200,
                     help="timed reservoir steps per agents size")
-    ap.add_argument("--density-steps", type=int, default=500,
+    ap.add_argument("--density-steps", type=int, default=2000,
                     help="timed reservoir steps per density size")
     ap.add_argument("--warmup", type=int, default=100,
                     help="untimed steps before timing")
@@ -116,9 +101,12 @@ def main(argv=None):
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
                                 ("density", args.density_n, args.density_steps)):
         for n in sizes:
-            r = {"n": n, **time_steps(build_sim(model, n), steps, args.warmup)}
+            sim = build_sim(model, n)
+            t = time_round_robin([sim], steps, args.warmup)[0]
+            r = {"n": n, "links": sim.net.n_links, "steps": steps,
+                 "ms_per_step": t,
+                 "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3)}
             rows[model].append(r)
-            t = r["ms_per_step"]
             print(f"{model:<8} {n:>3} {r['links']:>6} {t['median']:>9.3f} "
                   f"{t['q1']:>9.3f} {t['q3']:>9.3f} {r['us_per_link']:>8.2f}")
     if args.union_k:
@@ -126,8 +114,7 @@ def main(argv=None):
               f"{'ms/trial':>9} {'us/link':>8}")
     unions = [AgentSim.union([build_sim("agents", UNION_N, seed=7 + b)
                               for b in range(k)]) for k in args.union_k]
-    times = time_round_robin(unions, args.agents_steps, args.warmup,
-                             UNION_ROUNDS)
+    times = time_round_robin(unions, args.agents_steps, args.warmup)
     for k, sim, t in zip(args.union_k, unions, times):
         r = {"n": UNION_N, "blocks": k, "links": sim.net.n_links,
              "steps": args.agents_steps, "ms_per_step": t,

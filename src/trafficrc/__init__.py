@@ -3,7 +3,7 @@
 from .io import VERSION as __version__
 from .io import ExperimentConfig, Series, load_config, read_series_csv, synth_series
 from .lattice import Network, TurnTable, assign_turn_table, build_lattice
-from .signals import PhaseBank, reservoir_observables, signal_state
+from .signals import PhaseBank, reservoir_observables
 from .density import DensitySim, Trajectory, init_density
 from .agents import AgentSim, AgentState, OVParams, init_agents, ov_velocity
 from .readout import (FeatureDef, ReadoutModel, assemble_matrix, log_nrmse,
@@ -16,7 +16,7 @@ __all__ = [
     "__version__", "ExperimentConfig", "Series", "load_config",
     "read_series_csv", "synth_series", "Network", "TurnTable",
     "assign_turn_table", "build_lattice", "PhaseBank",
-    "reservoir_observables", "signal_state", "DensitySim", "Trajectory",
+    "reservoir_observables", "DensitySim", "Trajectory",
     "init_density", "AgentSim", "AgentState", "OVParams", "init_agents",
     "ov_velocity", "FeatureDef", "ReadoutModel", "assemble_matrix",
     "log_nrmse", "predict", "ridge_fit", "TrialResult",

@@ -10,9 +10,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .density import ReservoirSnapshot, Trajectory, _run_trajectory
+from .density import Trajectory
 from .lattice import TurnTable
-from .signals import PhaseBank, link_go, reservoir_observables
+# reservoir_observables stays importable here: perfbench/tracer.py wraps it
+from .signals import PhaseBank, link_go, reservoir_observables  # noqa: F401
 
 __all__ = [
     "OVParams", "ov_velocity", "AgentState", "init_agents",
@@ -176,14 +177,14 @@ class _UnionNet(NamedTuple):
 
 
 class AgentSim:
-    """Steps the multi-agent model; emits reservoir snapshots.
+    """Steps the multi-agent model; runs record reservoir trajectories.
 
-    Each reservoir step takes the snapshot (agent-count densities, junction
-    inflow sums, phase observables), holds the signal state fixed while the
-    Euler substeps run, then advances the phases. A red light acts as a
-    stationary obstacle at the stop line; a leader crossing on green moves to
-    its pre-drawn outgoing link at x - L with velocity kept, and is blocked
-    at the line when the target link has no room at its upstream end.
+    Each reservoir step records the agent-count densities, junction inflow
+    sums and phases, then runs the Euler substeps under that step's fixed
+    signal state. A red light acts as a stationary obstacle at the stop
+    line; a leader crossing on green moves to its pre-drawn outgoing link at
+    x - L with velocity kept, and is blocked at the line when the target
+    link has no room at its upstream end.
 
     A sim holds one or more blocks (see union): independent networks, each
     with its own turn table, phases, agents and rng, stepped in one set of
@@ -280,28 +281,35 @@ class AgentSim:
             js, ls = slice(jo[b], jo[b + 1]), slice(lo[b], lo[b + 1])
             out.append(Trajectory(
                 traj.t0, np.ascontiguousarray(traj.u[:, js]),
-                np.ascontiguousarray(traj.x1[:, js]),
-                np.ascontiguousarray(traj.x2[:, js]),
+                np.ascontiguousarray(traj.theta[:, js]),
                 np.ascontiguousarray(traj.k[:, ls])))
         return out
 
-    def step(self, u_ext=None):
-        """Advance one reservoir step; returns the pre-movement snapshot."""
-        st = self.state
-        net = self.net
-        k = agent_link_densities(st, net)
-        u = np.bincount(net.link_to, weights=k, minlength=net.n_junctions)
-        x1, x2 = reservoir_observables(u, self.bank.theta)
-        snap = ReservoirSnapshot(self.t, u, x1, x2, k)
-        red = ~link_go(self.bank, net)
+    def step(self, red):
+        """Advance one reservoir step under the per-link red mask: the Euler
+        substeps and their transfers."""
         for _ in range(self.params.substeps):
             self._substep(red)
-        self.bank.step(self.t, u_ext)
         self.t += 1
-        return snap
 
     def run(self, steps, inputs=None):
-        return _run_trajectory(self, steps, inputs)
+        """Run `steps` steps and record them; inputs[t] (if given) is
+        injected at step t. Every link's density is stored.
+
+        The phases never see the traffic, so the whole run's phase schedule
+        and red masks are computed first; the loop only moves the agents.
+        """
+        net = self.net
+        t0 = self.t
+        theta = self.bank.schedule(t0, steps, inputs)
+        red = ~link_go(theta, self.bank.ns_stop_first, net)
+        u = np.empty((steps, net.n_junctions))
+        k = np.empty((steps, net.n_links))
+        for s in range(steps):
+            k[s] = agent_link_densities(self.state, net)
+            u[s] = np.bincount(net.link_to, weights=k[s], minlength=net.n_junctions)
+            self.step(red[s])
+        return Trajectory(t0, u, theta, k)
 
     def _substep(self, red):
         st = self.state

@@ -9,46 +9,52 @@ import numpy as np
 from . import kernels
 from .signals import link_go, reservoir_observables
 
-__all__ = [
-    "ReservoirSnapshot", "Trajectory",
-    "init_density", "DensitySim",
-]
-
-
-@dataclass
-class ReservoirSnapshot:
-    """State of the reservoir drive at one time step.
-
-    u: junction inflow sums (Q/L over all incoming links),
-    x1/x2: phase observables u cos^2(theta) and u sin^2(theta),
-    k: per-link densities Q/L.
-    """
-    t: int
-    u: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    k: np.ndarray
+__all__ = ["Trajectory", "init_density", "DensitySim"]
 
 
 @dataclass
 class Trajectory:
-    """Stacked snapshots; row s holds the state at time step t0 + s."""
+    """A run's record; row s holds the state at time step t0 + s, taken
+    before that step moves any traffic.
+
+    u: junction inflow sums (Q/L over all incoming links), theta: signal
+    phases, k: densities Q/L of the links in `links` (None: every link, in
+    canonical order). The observables X1 = u cos^2(theta) and
+    X2 = u sin^2(theta) are derived on read (observables).
+    """
     t0: int
-    u: np.ndarray    # (steps, n_junctions)
-    x1: np.ndarray
-    x2: np.ndarray
-    k: np.ndarray    # (steps, n_links)
+    u: np.ndarray      # (steps, n_junctions)
+    theta: np.ndarray  # (steps, n_junctions)
+    k: np.ndarray      # (steps, len(links) or n_links)
+    links: np.ndarray | None = None
 
     @property
     def steps(self):
         return self.u.shape[0]
 
+    def observables(self, rows=slice(None), junctions=slice(None)):
+        """(X1, X2) at the given rows and junctions, each (rows, junctions)."""
+        return reservoir_observables(self.u[rows, junctions],
+                                     self.theta[rows, junctions])
+
+    def density(self, link):
+        """The stored density series of one link, (steps,)."""
+        if self.links is None:
+            return self.k[:, link]
+        hit = np.flatnonzero(self.links == link)
+        if hit.size == 0:
+            raise ValueError(f"link {link} is not stored in this trajectory")
+        return self.k[:, hit[0]]
+
     def write_csv(self, path, net):
         """One row per step: t, u_<j>.., x1_<j>.., x2_<j>.., k_<from>_<to>..
 
         Junction columns are ordered by junction id, link columns in
-        canonical link order; floats are shortest round-trip reprs.
+        canonical link order; floats are shortest round-trip reprs. Every
+        link must be stored.
         """
+        if self.links is not None:
+            raise ValueError("write_csv needs every link's density")
         cols = ["t"]
         nj = net.n_junctions
         cols += [f"u_{j}" for j in range(nj)]
@@ -58,10 +64,12 @@ class Trajectory:
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
             for s in range(self.steps):
+                # one row at a time: no whole-run X1/X2 arrays stay alive
+                x1, x2 = self.observables(s)
                 row = [str(self.t0 + s)]
                 row += [repr(float(v)) for v in self.u[s]]
-                row += [repr(float(v)) for v in self.x1[s]]
-                row += [repr(float(v)) for v in self.x2[s]]
+                row += [repr(float(v)) for v in x1]
+                row += [repr(float(v)) for v in x2]
                 row += [repr(float(v)) for v in self.k[s]]
                 fh.write(",".join(row) + "\n")
 
@@ -86,33 +94,13 @@ def init_density(net, total_vehicles, rng=None, how="random"):
     raise ValueError(f"unknown init mode {how!r}")
 
 
-def _run_trajectory(sim, steps, inputs):
-    """Shared run loop: collect `steps` snapshots from any sim with .step()."""
-    if inputs is not None and len(inputs) < sim.t + steps:
-        raise ValueError("inputs shorter than the requested run")
-    nj = sim.net.n_junctions
-    nl = sim.net.n_links
-    t0 = sim.t
-    u = np.empty((steps, nj))
-    x1 = np.empty((steps, nj))
-    x2 = np.empty((steps, nj))
-    k = np.empty((steps, nl))
-    for s in range(steps):
-        snap = sim.step(None if inputs is None else inputs[sim.t])
-        u[s] = snap.u
-        x1[s] = snap.x1
-        x2[s] = snap.x2
-        k[s] = snap.k
-    return Trajectory(t0, u, x1, x2, k)
-
-
 class DensitySim:
     """Steps the density model under signal control.
 
     Per step, each link whose axis shows go at its destination junction
     discharges o = min(Q/L, Q), split over that junction's outgoing links by
     the turn table; gated links hold their content. The system is closed, so
-    the total content is invariant. Snapshots are taken before movement.
+    the total content is invariant. Runs record the state before movement.
     """
 
     def __init__(self, net, table, bank, q0):
@@ -139,22 +127,34 @@ class DensitySim:
         self._to = table.idx[valid]
         self._wgt = table.wgt[valid]
 
-    def step(self, u_ext=None):
-        """Advance one step; returns the pre-movement snapshot."""
-        go = link_go(self.bank, self.net)
-        q_new, u = kernels.density_step(
+    def step(self, go):
+        """Advance one step under the per-link gate go; returns the junction
+        inflows u taken before movement."""
+        self.q, u = kernels.density_step(
             self.q, self._inv_len, self._rate, go, self._dst,
             self.net.n_junctions, self._src, self._to, self._wgt)
-        x1, x2 = reservoir_observables(u, self.bank.theta)
-        snap = ReservoirSnapshot(self.t, u, x1, x2, self.q * self._inv_len)
-        self.q = q_new
-        self.bank.step(self.t, u_ext)
         self.t += 1
-        return snap
+        return u
 
-    def run(self, steps, inputs=None):
-        """Collect `steps` snapshots; inputs[t] (if given) is injected at step t."""
-        return _run_trajectory(self, steps, inputs)
+    def run(self, steps, inputs=None, links=None):
+        """Run `steps` steps and record them; inputs[t] (if given) is
+        injected at step t. links selects the stored density columns
+        (None: every link).
+
+        The phases never see the traffic, so the whole run's phase schedule
+        and gates are computed first; the loop only runs the kernel.
+        """
+        t0 = self.t
+        theta = self.bank.schedule(t0, steps, inputs)
+        go = link_go(theta, self.bank.ns_stop_first, self.net)
+        cols = slice(None) if links is None else np.asarray(links, dtype=np.int64)
+        u = np.empty((steps, self.net.n_junctions))
+        k = np.empty((steps, self._inv_len[cols].size))
+        for s in range(steps):
+            k[s] = self.q[cols]
+            u[s] = self.step(go[s])
+        k *= self._inv_len[cols]
+        return Trajectory(t0, u, theta, k, None if links is None else cols)
 
     @property
     def total(self):

@@ -168,6 +168,8 @@ def validate_config(cfg):
     tw = cfg.turn_weights
     _require(isinstance(tw, tuple) and len(tw) == 3, "turn_weights",
              "must be a 3-vector")
+    _require(all(_is_finite(v) for v in tw), "turn_weights",
+             "entries must be finite numbers")
     _require(all(v >= 0 for v in tw) and abs(sum(tw) - 1.0) <= 1e-12,
              "turn_weights", "must be nonnegative and sum to 1")
     if isinstance(cfg.tau, tuple):
@@ -182,7 +184,8 @@ def validate_config(cfg):
     _require(_is_int(cfg.T) and cfg.T >= 0, "T", "must be a nonnegative integer")
     _require(_is_finite(cfg.beta) and cfg.beta >= 0, "beta",
              "must be finite and nonnegative")
-    _require(0.0 <= cfg.p <= 1.0, "p", "must lie in [0, 1]")
+    _require(_is_finite(cfg.p) and 0.0 <= cfg.p <= 1.0, "p",
+             "must be a number in [0, 1]")
     _require(_is_int(cfg.M) and cfg.M >= 0, "M", "must be a nonnegative integer")
     _require(_is_int(cfg.train) and cfg.train >= 1, "train", "must be >= 1")
     _require(_is_int(cfg.test) and cfg.test >= 2, "test", "must be >= 2")
@@ -200,7 +203,7 @@ def validate_config(cfg):
     if cfg.series_synth.length is not None:
         _require(_is_int(cfg.series_synth.length) and cfg.series_synth.length >= 2,
                  "series_synth", "length must be >= 2")
-    for name in ("amplitude", "offset", "period", "sigma"):
+    for name in ("amplitude", "offset", "period", "rho", "sigma"):
         _require(_is_finite(getattr(cfg.series_synth, name)), "series_synth",
                  f"{name} must be finite")
     _require(cfg.series_synth.period > 0, "series_synth", "period must be positive")

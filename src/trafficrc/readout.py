@@ -102,18 +102,23 @@ def assemble_features(fdef, x1, x2, u=None, k_hist=None):
 def assemble_matrix(fdef, x1, x2, u=None, k_hist=None):
     """Batched assembly: rows of x1/x2 (and k_hist) are time steps.
 
+    x1 and x2 hold the observables of the fdef.mask junctions only, one
+    column per mask entry in mask order, so a caller derives them just
+    there; k_hist holds every link (only the fdef.roads columns are used).
     Returns the feature matrix X with shape (dim, steps), one column per step.
     """
     _check_u(fdef, u)
     steps = x1.shape[0]
+    if x1.shape != (steps, fdef.mask.size) or x2.shape != x1.shape:
+        raise ValueError("x1 and x2 must hold one column per mask junction")
     parts = [np.ones((1, steps))]
     if fdef.tag in (TAG_A, TAG_A_PRIME):
         u = np.asarray(u, dtype=float)
         if u.shape != (steps,):
             raise ValueError("U must hold one scalar per step")
         parts.append(u[None, :])
-    parts.append(x1[:, fdef.mask].T)
-    parts.append(x2[:, fdef.mask].T)
+    parts.append(x1.T)
+    parts.append(x2.T)
     if fdef.tag == TAG_A_PRIME:
         if k_hist is None:
             raise ValueError('tag "a_prime" requires lagged link densities')

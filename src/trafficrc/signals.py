@@ -6,8 +6,7 @@ import numpy as np
 
 __all__ = [
     "TWO_PI", "MODE_CONSTANT_RATE", "MODE_LITERAL",
-    "PhaseBank", "signal_state", "reservoir_observables",
-    "link_go",
+    "PhaseBank", "reservoir_observables", "link_go",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -57,16 +56,6 @@ class PhaseBank:
     def n_junctions(self):
         return self.xi.size
 
-    @classmethod
-    def random(cls, n_junctions, rng, tau=100.0, mode=MODE_CONSTANT_RATE,
-               sigma_in=None, ns_stop_first=True):
-        """Random offsets xi ~ U[0, 2*pi); optional win ~ U[-sigma_in, sigma_in]."""
-        xi = rng.uniform(0.0, TWO_PI, n_junctions)
-        win = None
-        if sigma_in is not None:
-            win = rng.uniform(-float(sigma_in), float(sigma_in), n_junctions)
-        return cls(tau, xi, mode=mode, win=win, ns_stop_first=ns_stop_first)
-
     def step(self, t, u_ext=None):
         """Advance from step t to t+1, optionally injecting external input."""
         if u_ext is not None:
@@ -86,6 +75,41 @@ class PhaseBank:
                 inc = inc + self.win * u_ext
             self.theta = self.theta + inc
         return self
+
+    def schedule(self, t0, steps, inputs=None):
+        """Phases at the start of steps t0 .. t0+steps-1, shape (steps, n).
+
+        Row 0 is the current theta. inputs[t], if given, is injected at step
+        t. Leaves the bank where step(t, inputs[t]) for t = t0 .. t0+steps-1
+        would, and every row equals the stepped phase bit for bit: the
+        closed form plus a sequential cumsum of the input terms
+        (constant-rate), or a sequential cumsum of the increments (literal).
+        Bad input is refused before the bank changes.
+        """
+        if inputs is not None:
+            if self.win is None:
+                raise ValueError("external input requires configured input weights")
+            if len(inputs) < t0 + steps:
+                raise ValueError("inputs shorter than the requested run")
+            inputs = np.asarray(inputs[t0:t0 + steps], dtype=float)
+            if not np.all(np.isfinite(inputs)):
+                raise ValueError("external input must be finite")
+        t = np.arange(t0, t0 + steps)[:, None]
+        if self.mode == MODE_CONSTANT_RATE:
+            acc = self._input_acc
+            if inputs is not None:
+                acc = _running_sum(acc, self.win * inputs[:, None])
+                self._input_acc = acc[-1].copy()
+                acc = acc[1:]
+            rows = np.concatenate(
+                [self.theta[None], self.xi + TWO_PI * (t + 1) / self.tau + acc])
+        else:
+            inc = TWO_PI * t / self.tau + self.xi
+            if inputs is not None:
+                inc = inc + self.win * inputs[:, None]
+            rows = _running_sum(self.theta, inc)
+        self.theta = rows[-1].copy()
+        return rows[:-1]
 
     def copy(self):
         return PhaseBank.concat([self])
@@ -115,15 +139,10 @@ class PhaseBank:
         return out
 
 
-def signal_state(theta, ns_stop_first=True):
-    """Go/stop state per junction from phase theta.
-
-    In the first half period (0 <= mod(theta, 2*pi) < pi) the north-south
-    axis stops and east-west goes; the rest of the period is reversed.
-    ns_stop_first=False swaps the convention. Returns (ns_go, ew_go) booleans.
-    """
-    ns_go = _ns_go(theta, np.asarray(ns_stop_first, dtype=bool))
-    return ns_go, ~ns_go
+def _running_sum(start, terms):
+    """Rows start, start + terms[0], (start + terms[0]) + terms[1], ...:
+    np.cumsum adds along an axis sequentially, as repeated stepping does."""
+    return np.cumsum(np.concatenate([start[None], terms]), axis=0)
 
 
 def _ns_go(theta, ns_stop_first):
@@ -133,7 +152,8 @@ def _ns_go(theta, ns_stop_first):
 def reservoir_observables(u, theta):
     """Reservoir readout pair X1 = u cos^2(theta), X2 = u sin^2(theta).
 
-    Requires u >= 0; X1 + X2 recovers u up to a few ulp.
+    Elementwise over arrays of any shape, e.g. (steps, junctions). Requires
+    u >= 0; X1 + X2 recovers u up to a few ulp.
     """
     u = np.asarray(u, dtype=float)
     c = np.cos(theta)
@@ -141,7 +161,13 @@ def reservoir_observables(u, theta):
     return u * c * c, u * s * s
 
 
-def link_go(bank, net):
-    """Per-link gate: True where the link's axis shows go at its destination."""
+def link_go(theta, ns_stop_first, net):
+    """Per-link gate from junction phases theta (..., n_junctions): True
+    where the link's axis shows go at its destination junction.
+
+    In the first half period (0 <= mod(theta, 2*pi) < pi) the north-south
+    axis stops and east-west goes; the rest of the period is reversed, and
+    ns_stop_first=False swaps the convention per junction.
+    """
     # one gather of the junctions' NS state; EW links take its complement
-    return _ns_go(bank.theta, bank.ns_stop_first)[net.link_to] ^ ~net.link_axis_ns
+    return _ns_go(theta, ns_stop_first)[..., net.link_to] ^ ~net.link_axis_ns

@@ -207,14 +207,16 @@ def _batches(cfg):
             for b in range(0, cfg.trials, size)]
 
 
-def _simulate(cfg, trials, steps, inputs=None):
+def _simulate(cfg, trials, steps, inputs=None, links=None):
     """Build the trials' reservoirs from their rng streams and run them
     `steps` steps.
 
     The readout fields (p, M, beta) play no part. inputs[t], if given, is
-    injected at step t through each trial's input weights. Agents trials run
-    as the blocks of one union sim, density trials one after another.
-    Returns one (net, traj) per trial, in order.
+    injected at step t through each trial's input weights. A density run
+    stores the densities of `links` only (None: every link); agents runs
+    store every link. Agents trials run as the blocks of one union sim,
+    density trials one after another. Returns one (net, traj) per trial, in
+    order.
     """
     net = build_lattice(cfg.n, cfg.link_length)
     sims = []
@@ -238,22 +240,27 @@ def _simulate(cfg, trials, steps, inputs=None):
     if cfg.model == "agents":
         sim = AgentSim.union(sims)
         return [(net, traj) for traj in sim.split(sim.run(steps, inputs=inputs))]
-    return [(net, sim.run(steps, inputs=inputs)) for sim in sims]
+    return [(net, sim.run(steps, inputs=inputs, links=links)) for sim in sims]
 
 
-def _read_density(cfg, trial, net, traj):
+def _features(fdef, traj, rows, u=None, k_hist=None):
+    """The readout's feature matrix, with X1 and X2 derived only at its
+    rows and masked junctions."""
+    x1, x2 = traj.observables(rows, fdef.mask)
+    return assemble_matrix(fdef, x1, x2, u=u, k_hist=k_hist)
+
+
+def _read_density(cfg, target, trial, net, traj):
     """Target-road density from the observables and the road's own past."""
     steps, first = _span(cfg)
-    target = default_target_link(net) if cfg.target_link is None \
-        else net.link_index(*cfg.target_link)
     ends = (net.link_from[target], net.link_to[target])
     mask = select_reservoir_fraction(
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
         exclude=ends)
-    y = traj.k[:steps, target]
+    y = traj.density(target)[:steps]
     fdef = FeatureDef(TAG_A, mask, horizon=cfg.T)
-    x = assemble_matrix(fdef, traj.x1[first:steps], traj.x2[first:steps],
-                        u=y[cfg.washout:steps - cfg.T])
+    x = _features(fdef, traj, slice(first, steps),
+                  u=y[cfg.washout:steps - cfg.T])
     return _score(cfg, trial, fdef, x, y[first:])
 
 
@@ -268,8 +275,8 @@ def _read_agents(cfg, trial, net, traj):
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     past = traj.k[cfg.washout:steps - cfg.T]
     fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored, horizon=cfg.T)
-    x = assemble_matrix(fdef, traj.x1[first:steps], traj.x2[first:steps],
-                        u=past[:, hidden].mean(axis=1), k_hist=past)
+    x = _features(fdef, traj, slice(first, steps),
+                  u=past[:, hidden].mean(axis=1), k_hist=past)
     return _score(cfg, trial, fdef, x, traj.k[first:steps, hidden].T)
 
 
@@ -281,8 +288,8 @@ def _read_series(cfg, y, z, trial, net, traj):
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     with_u = cfg.task2_feature == "a"
     fdef = FeatureDef(TAG_A if with_u else TAG_B, mask, horizon=cfg.T)
-    x = assemble_matrix(fdef, traj.x1[first:steps], traj.x2[first:steps],
-                        u=z[cfg.washout:steps - cfg.T] if with_u else None)
+    x = _features(fdef, traj, slice(first, steps),
+                  u=z[cfg.washout:steps - cfg.T] if with_u else None)
     return _score(cfg, trial, fdef, x, y[first:])
 
 
@@ -307,13 +314,17 @@ def _series_values(cfg, series, steps):
 def _plan(cfg, series=None):
     """Check cfg against its task before any simulation.
 
-    Returns (inputs, readout): the external drive of every trial (None on
-    the density_link task) and readout(trial, net, traj) -> TrialResult,
+    Returns (inputs, links, readout): the external drive of every trial
+    (None on the density_link task), the links whose densities the readout
+    reads (None: every link) and readout(trial, net, traj) -> TrialResult,
     which reads the first _span(cfg)[0] steps of a possibly longer run.
     readout is None when every road is monitored. The external series is
     standardized with mean/std taken from its pre-test prefix and injected
     T steps late through each trial's input weights.
     """
+    if cfg.n < 2:
+        raise _io.ConfigError(
+            "config key 'n': prediction tasks need a lattice with n >= 2")
     if cfg.task == "external_series":
         if cfg.model != "density":
             raise _io.ConfigError(
@@ -327,15 +338,24 @@ def _plan(cfg, series=None):
             raise ValueError("external series is constant over the training prefix")
         z = (y - mu) / sd
         inputs = np.concatenate([np.zeros(cfg.T), z[:steps - cfg.T]])
-        return inputs, functools.partial(_read_series, cfg, y, z)
+        return inputs, [], functools.partial(_read_series, cfg, y, z)
     if cfg.model == "agents":
         if cfg.M > cfg.n_links:
             raise _io.ConfigError(
                 f"config key 'M': at most {cfg.n_links} roads on an n={cfg.n} grid")
         if cfg.M == cfg.n_links:
-            return None, None
-        return None, functools.partial(_read_agents, cfg)
-    return None, functools.partial(_read_density, cfg)
+            return None, None, None
+        return None, None, functools.partial(_read_agents, cfg)
+    net = build_lattice(cfg.n)
+    if cfg.target_link is None:
+        target = default_target_link(net)
+    else:
+        try:
+            target = net.link_index(*cfg.target_link)
+        except ValueError as exc:
+            raise _io.ConfigError(
+                f"config key 'target_link': {exc} on an n={cfg.n} grid") from None
+    return None, [target], functools.partial(_read_density, cfg, target)
 
 
 def run_experiment(cfg, series=None):
@@ -345,13 +365,13 @@ def run_experiment(cfg, series=None):
     after loading is checked as it runs.
     """
     _io.validate_config(cfg)
-    inputs, readout = _plan(cfg, series)
+    inputs, links, readout = _plan(cfg, series)
     if readout is None:
         return []
     steps = _span(cfg)[0]
     return [readout(trial, net, traj) for batch in _batches(cfg)
             for trial, (net, traj) in zip(batch, _simulate(cfg, batch, steps,
-                                                           inputs))]
+                                                           inputs, links))]
 
 
 def run_task1_density(cfg):
@@ -433,18 +453,18 @@ def sweep(cfg, param, values, series=None):
         order.append(value)
         if value not in plans:
             plans[value] = (cfg_v, *_plan(cfg_v, series))
-    live = [v for v, plan in plans.items() if plan[2] is not None]
+    live = [v for v, plan in plans.items() if plan[3] is not None]
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
     groups = ([live] if live else []) if shared else [[v] for v in live]
     by_value = {v: [] for v in plans}
     for batch in _batches(cfg):
         for group in groups:
-            cfg_v, inputs, _ = plans[group[0]]
+            cfg_v, inputs, links, _ = plans[group[0]]
             steps = max(_span(plans[v][0])[0] for v in group)
-            runs = _simulate(cfg_v, batch, steps, inputs)
+            runs = _simulate(cfg_v, batch, steps, inputs, links)
             for trial, (net, traj) in zip(batch, runs):
                 for v in group:
-                    by_value[v].append(plans[v][2](trial, net, traj))
+                    by_value[v].append(plans[v][3](trial, net, traj))
             del runs, net, traj
     rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
     return SweepResult(param, tuple(by_value), by_value, rows)

@@ -25,7 +25,7 @@ from trafficrc.io import config_from_dict, load_config
 from trafficrc.lattice import assign_turn_table, build_lattice
 from trafficrc.readout import (FeatureDef, assemble_matrix, log_nrmse,
                                ridge_fit)
-from trafficrc.signals import PhaseBank, reservoir_observables
+from trafficrc.signals import TWO_PI, PhaseBank, reservoir_observables
 from trafficrc.tasks import (average_prediction, run_task1_agents,
                              run_task1_density, run_task2_external,
                              select_reservoir_fraction, sweep)
@@ -55,7 +55,7 @@ def _warm_kernels():
     net = build_lattice(2)
     rng = np.random.default_rng(0)
     table = assign_turn_table(net, EVEN, rng)
-    bank = PhaseBank.random(net.n_junctions, rng)
+    bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
     DensitySim(net, table, bank, init_density(net, 8.0, rng)).run(5)
     state = init_agents(net, table, rng, per_link=2)
     AgentSim(net, table, bank.copy(), state, OVParams(), rng).run(5)
@@ -68,7 +68,7 @@ def test_c1_density_mass_conservation():
         net = build_lattice(n)
         rng = np.random.default_rng(seed)
         table = assign_turn_table(net, EVEN, rng)
-        bank = PhaseBank.random(net.n_junctions, rng)
+        bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
         q0 = init_density(net, float(net.n_links), rng)
         traj = DensitySim(net, table, bank, q0).run(10_000)
         totals = traj.k @ net.length
@@ -182,7 +182,7 @@ def test_c7_invariants(tmp_path):
     # agents: spacing floor holds and no vehicle appears or vanishes
     net = build_lattice(3, link_length=20.0)
     table = assign_turn_table(net, EVEN, rng)
-    bank = PhaseBank.random(net.n_junctions, rng)
+    bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
     params = OVParams()
     state = init_agents(net, table, rng, per_link=10, params=params)
     sim = AgentSim(net, table, bank, state, params, rng)

@@ -257,11 +257,10 @@ def test_red_light_queue_matches_oracle():
     x0, v0 = st.x.copy(), st.v.copy()
     # enormous tau freezes the phases; NS axis stays stopped (default rule)
     bank = PhaseBank(1e12, np.full(4, 0.5))
-    assert not link_go(bank, net)[north]
+    assert not link_go(bank.theta, bank.ns_stop_first, net)[north]
     sim = AgentSim(net, table, bank, st, p, rng)
     steps = 50
-    for _ in range(steps):
-        sim.step()
+    sim.run(steps)
     x_ref, v_ref = red_queue_oracle(x0, v0, 20.0, p, steps * p.substeps)
     assert sim.state.x == pytest.approx(x_ref, rel=1e-9, abs=1e-12)
     assert sim.state.v == pytest.approx(v_ref, rel=1e-9, abs=1e-12)
@@ -291,7 +290,7 @@ def ring_setup(per_link, spacing_offset=0.5):
     flags[2] = True    # 3->2 westbound: EW go at junction 2
     flags[0] = False   # 2->0 southbound: NS go at junction 0
     bank = PhaseBank(1e12, np.full(4, 0.5), ns_stop_first=flags)
-    assert np.all(link_go(bank, net)[ring])
+    assert np.all(link_go(bank.theta, bank.ns_stop_first, net)[ring])
 
     spacing = 20.0 / per_link
     links, xs = [], []
@@ -317,8 +316,7 @@ def test_uniform_ring_flow_is_a_fixed_point():
     v_star = float(ov_velocity(spacing, p))
     st = AgentState(link, x, np.full(link.size, v_star), nxt)
     sim = AgentSim(net, table, bank, st, p, np.random.default_rng(5))
-    for _ in range(20):
-        sim.step()
+    sim.run(20)
     st = sim.state
     assert st.count == 4 * per_link
     # velocities stay pinned at V(spacing)
@@ -342,7 +340,7 @@ def test_transfer_into_empty_link_keeps_velocity():
     st = AgentState(np.array([l0]), np.array([19.5]), np.array([2.0]),
                     np.array([l1]))
     sim = AgentSim(net, table, bank, st, p, np.random.default_rng(6))
-    sim.step()
+    sim.run(1)
     st = sim.state
     assert st.link[0] == l1
     assert 0.0 < st.x[0] < 2.0   # crossed with the overshoot kept
@@ -360,7 +358,7 @@ def test_transfer_blocked_when_target_entry_is_full():
     nxt = np.array([l1, l2, l2], dtype=np.int64)
     st = AgentState(link, x, v, nxt)
     sim = AgentSim(net, table, bank, st, p, np.random.default_rng(7))
-    sim.step()
+    sim.run(1)
     st = sim.state
     stuck = np.flatnonzero(st.link == l0)
     assert stuck.size == 1   # the crosser was turned back at the line
@@ -377,7 +375,7 @@ def test_transfer_clamps_to_rear_gap():
                     np.array([2.0, 0.0]),
                     np.array([l1, l2], dtype=np.int64))
     sim = AgentSim(net, table, bank, st, p, np.random.default_rng(8))
-    sim.step()
+    sim.run(1)
     st = sim.state
     assert np.all(st.link == l1)
     # the agent ahead moves first; entry clamps to its post-move rear gap
@@ -446,7 +444,7 @@ def run_both(net, table, bank, state, params, seed, steps):
 
 def assert_bitwise_equal(runs):
     (sim, traj), (ref, ref_traj) = runs
-    for name in ("u", "x1", "x2", "k"):
+    for name in ("u", "theta", "k"):
         assert np.array_equal(getattr(traj, name), getattr(ref_traj, name)), name
     for name in ("link", "x", "v", "next_link"):
         a, b = getattr(sim.state, name), getattr(ref.state, name)
@@ -467,7 +465,8 @@ def test_transfers_match_full_resort_on_random_lattices(seed, n, d_min, dt):
     counts = np.minimum(rng.integers(0, 16, n_links), cap)
     net = build_lattice(n, lengths)
     table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
-    bank = PhaseBank.random(net.n_junctions, rng, tau=rng.uniform(5.0, 60.0))
+    tau = rng.uniform(5.0, 60.0)
+    bank = PhaseBank(tau, rng.uniform(0.0, TWO_PI, net.n_junctions))
     p = OVParams(dt=dt, d_min=d_min)
     state = init_agents(net, table, rng, per_link=counts, params=p)
     runs = run_both(net, table, bank, state, p, seed, 40)
@@ -515,7 +514,7 @@ def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, mode, empty):
     trajs = union.split(union.run(40))
     assert union.blocks == len(trajs) == k
     for b, (sim, ref) in enumerate(zip(solo, solo_trajs)):
-        for name in ("u", "x1", "x2", "k"):
+        for name in ("u", "theta", "k"):
             got, want = getattr(trajs[b], name), getattr(ref, name)
             assert got.flags.c_contiguous and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
@@ -533,6 +532,36 @@ def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, mode, empty):
     assert union.min_gap == min(sim.min_gap for sim in solo)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_split_runs_equal_one_run(k):
+    # run(a) then run(b) resumes the clock, phases, agents and rngs
+    rng = np.random.default_rng(16)
+    p = OVParams(dt=0.25)
+    blocks = [random_block(rng, 2, p, MODE_CONSTANT_RATE) for _ in range(k)]
+    inputs = rng.normal(size=30)
+
+    def sim():
+        sims = [AgentSim(net, table, copy.deepcopy(bank), state.copy(), p,
+                         np.random.default_rng((16, b)))
+                for b, (net, table, bank, state) in enumerate(blocks)]
+        for s in sims:
+            s.bank.win = np.full(s.net.n_junctions, 0.4)
+        return AgentSim.union(sims) if k > 1 else sims[0]
+
+    whole, parts = sim(), sim()
+    ref = whole.run(30, inputs)
+    got = [parts.run(a, inputs) for a in (11, 0, 19)]
+    assert [g.t0 for g in got] == [0, 11, 11]
+    for name in ("u", "theta", "k"):
+        joined = np.concatenate([getattr(g, name) for g in got])
+        assert joined.tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("link", "x", "v", "next_link"):
+        assert np.array_equal(getattr(parts.state, name),
+                              getattr(whole.state, name)), name
+    assert [r.bit_generator.state for r in parts.rngs] == \
+        [r.bit_generator.state for r in whole.rngs]
+
+
 def test_union_refuses_blocks_out_of_step():
     net, table, bank, state = random_block(np.random.default_rng(15), 2,
                                            OVParams(), MODE_CONSTANT_RATE)
@@ -542,7 +571,7 @@ def test_union_refuses_blocks_out_of_step():
                         np.random.default_rng(0))
 
     ahead = sim(OVParams())
-    ahead.step()
+    ahead.run(1)
     with pytest.raises(ValueError, match="time"):
         AgentSim.union([sim(OVParams()), ahead])
     with pytest.raises(ValueError, match="params"):
@@ -608,7 +637,7 @@ def test_busy_network_conserves_agents_and_spacing():
     net = build_lattice(3, 20.0)
     rng = np.random.default_rng(9)
     table = assign_turn_table(net, (1 / 3, 1 / 3, 1 / 3), rng)
-    bank = PhaseBank.random(net.n_junctions, rng, tau=100.0)
+    bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
     p = OVParams()
     st = init_agents(net, table, rng, per_link=10, params=p)
     total = st.count
@@ -623,7 +652,8 @@ def test_busy_network_conserves_agents_and_spacing():
     k0 = traj.k[0]
     u0 = np.bincount(net.link_to, weights=k0, minlength=net.n_junctions)
     assert traj.u[0] == pytest.approx(u0)
-    assert traj.x1[0] + traj.x2[0] == pytest.approx(traj.u[0], rel=1e-12)
+    x1, x2 = traj.observables(0)
+    assert x1 + x2 == pytest.approx(traj.u[0], rel=1e-12)
     # densities track counts over length
     assert traj.k[0] == pytest.approx(np.full(net.n_links, 0.5))
 
@@ -633,7 +663,7 @@ def test_same_seed_reproduces_the_trajectory():
         rng = np.random.default_rng(10)
         net = build_lattice(2, 20.0)
         table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
-        bank = PhaseBank.random(net.n_junctions, rng, tau=50.0)
+        bank = PhaseBank(50.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
         st = init_agents(net, table, rng, per_link=6)
         sim = AgentSim(net, table, bank, st, OVParams(), rng)
         traj = sim.run(120)

@@ -85,6 +85,7 @@ def test_validation_rejects_infinite_values(patch, key):
     ("series_synth", "amplitude"),
     ("series_synth", "offset"),
     ("series_synth", "period"),
+    ("series_synth", "rho"),
     ("series_synth", "sigma"),
     ("ov", "a"),
     ("ov", "v_scale"),
@@ -99,6 +100,21 @@ def test_validation_rejects_infinite_nested_values(group, name):
     # finite" or "teacher series is constant", naming no key
     with pytest.raises(ConfigError, match=f"'{group}': {name} must be finite"):
         config_from_dict({"n": 2, group: {name: math.inf}})
+
+
+@pytest.mark.parametrize("patch,key", [
+    ({"p": "0.5"}, "p"),
+    ({"p": True}, "p"),
+    ({"turn_weights": ["a", 0.5, 0.5]}, "turn_weights"),
+    ({"turn_weights": [None, 0.5, 0.5]}, "turn_weights"),
+    ({"series_synth": {"rho": "x"}}, "series_synth"),
+])
+def test_validation_refuses_wrongly_typed_values(patch, key):
+    # a string once reached a numeric comparison and raised a bare TypeError
+    data = {"n": 2}
+    data.update(patch)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        config_from_dict(data)
 
 
 @pytest.mark.parametrize("patch", [

@@ -9,7 +9,7 @@ from trafficrc import kernels
 from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
-from trafficrc.signals import PhaseBank, link_go
+from trafficrc.signals import TWO_PI, PhaseBank, link_go
 from trafficrc.tasks import run_simulation
 
 
@@ -17,7 +17,7 @@ def make_system(n, seed, link_length=1.0):
     rng = np.random.default_rng(seed)
     net = build_lattice(n, link_length)
     table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
-    bank = PhaseBank.random(net.n_junctions, rng)
+    bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
     q0 = init_density(net, float(net.n_links), rng)
     return net, table, bank, q0
 
@@ -130,11 +130,12 @@ def test_scatter_step_is_bitwise_the_dense_product(n):
     for t in range(100):
         u_ref = np.bincount(net.link_to, weights=q_ref * inv_len,
                             minlength=net.n_junctions)
-        o = np.where(link_go(ref_bank, net), q_ref * rate, 0.0)
+        o = np.where(link_go(ref_bank.theta, ref_bank.ns_stop_first, net),
+                     q_ref * rate, 0.0)
         q_ref = q_ref - o + o @ tmat
         ref_bank.step(t)
-        snap = sim.step()
-        assert np.array_equal(snap.u, u_ref)
+        traj = sim.run(1)
+        assert np.array_equal(traj.u[0], u_ref)
         assert np.array_equal(sim.q, q_ref)
 
 
@@ -180,10 +181,10 @@ def test_single_loaded_link_discharges_by_turn_weights():
     east = net.link_index(0, 1)
     q0[east] = 0.6
     sim = DensitySim(net, table, bank, q0)
-    snap = sim.step()
-    # snapshot is pre-movement: destination junction sees k = Q/L = 0.6
-    assert snap.u[1] == pytest.approx(0.6)
-    assert snap.k[east] == pytest.approx(0.6)
+    traj = sim.run(1)
+    # the record is pre-movement: destination junction sees k = Q/L = 0.6
+    assert traj.u[0, 1] == pytest.approx(0.6)
+    assert traj.k[0, east] == pytest.approx(0.6)
     ids, w = table.row(east)
     expect = np.zeros(net.n_links)
     expect[ids] += 0.6 * w
@@ -200,10 +201,10 @@ def test_gated_link_holds_its_content():
     q0 = np.zeros(net.n_links)
     q0[north] = 1.3
     sim = DensitySim(net, table, bank, q0)
-    assert not link_go(bank, net)[north]
-    snap = sim.step()
+    assert not link_go(bank.theta, bank.ns_stop_first, net)[north]
+    traj = sim.run(1)
     assert sim.q[north] == 1.3
-    assert snap.u[2] == pytest.approx(1.3)  # inflow sum ignores the gate
+    assert traj.u[0, 2] == pytest.approx(1.3)  # inflow sum ignores the gate
 
 
 # --- linearity ---------------------------------------------------------------
@@ -212,9 +213,8 @@ def test_step_is_linear_in_the_content_vector():
     net, table, bank, q0 = make_system(3, seed=5)
     sim1 = DensitySim(net, table, bank.copy(), q0)
     sim2 = DensitySim(net, table, bank.copy(), 2.0 * q0)
-    for _ in range(500):
-        sim1.step()
-        sim2.step()
+    sim1.run(500)
+    sim2.run(500)
     assert sim2.q == pytest.approx(2.0 * sim1.q, rel=1e-12)
 
 
@@ -226,11 +226,11 @@ def test_trajectory_matches_dense_operator_products():
     sim = DensitySim(net, table, bank, q0)
     q_ref = q0.copy()
     for t in range(300):
-        go = link_go(ref_bank, net).astype(float)
+        go = link_go(ref_bank.theta, ref_bank.ns_stop_first, net).astype(float)
         move = go * rate * q_ref
         q_ref = q_ref - move + tmat.T @ move
         ref_bank.step(t)
-        sim.step()
+    sim.run(300)
     assert sim.q == pytest.approx(q_ref, rel=1e-11, abs=1e-13)
 
 
@@ -243,7 +243,7 @@ def test_run_collects_pre_movement_snapshots():
     assert traj.t0 == 0
     assert traj.steps == 40
     assert traj.k[0] == pytest.approx(q0 / net.length)
-    x1, x2 = traj.x1[0], traj.x2[0]
+    x1, x2 = traj.observables(0)
     assert x1 + x2 == pytest.approx(traj.u[0], rel=1e-12)
     # second run continues the clock
     traj2 = sim.run(10)
@@ -261,3 +261,64 @@ def test_sim_validates_inputs():
     small_bank = PhaseBank(100.0, np.zeros(3))
     with pytest.raises(ValueError):
         DensitySim(net, table, small_bank, q0)
+
+
+def test_split_runs_equal_one_run():
+    # run(a) then run(b) resumes the clock, the phases and the content
+    net, table, bank, q0 = make_system(4, seed=11)
+    inputs = np.random.default_rng(3).normal(size=90)
+    bank.win = np.random.default_rng(4).uniform(-0.5, 0.5, net.n_junctions)
+    whole = DensitySim(net, table, bank.copy(), q0)
+    parts = DensitySim(net, table, bank.copy(), q0)
+    ref = whole.run(90, inputs)
+    got = [parts.run(a, inputs) for a in (0, 37, 1, 52)]
+    assert [g.t0 for g in got] == [0, 0, 37, 38]
+    for name in ("u", "theta", "k"):
+        joined = np.concatenate([getattr(g, name) for g in got])
+        assert joined.tobytes() == getattr(ref, name).tobytes(), name
+    assert parts.q.tobytes() == whole.q.tobytes()
+    assert parts.bank.theta.tobytes() == whole.bank.theta.tobytes()
+
+
+def test_lean_run_stores_only_its_links(tmp_path):
+    net, table, bank, q0 = make_system(3, seed=12)
+    full = DensitySim(net, table, bank.copy(), q0).run(60)
+    links = [5, 0, 17]
+    lean = DensitySim(net, table, bank.copy(), q0).run(60, links=links)
+    assert lean.k.shape == (60, 3)
+    assert lean.u.tobytes() == full.u.tobytes()
+    assert lean.theta.tobytes() == full.theta.tobytes()
+    for l in links:
+        assert lean.density(l).tobytes() == full.density(l).tobytes()
+    with pytest.raises(ValueError, match="not stored"):
+        lean.density(1)
+    with pytest.raises(ValueError, match="every link"):
+        lean.write_csv(tmp_path / "trajectory.csv", net)
+    none = DensitySim(net, table, bank.copy(), q0).run(60, links=[])
+    assert none.k.shape == (60, 0)
+
+
+def test_observables_are_derived_with_the_per_step_association():
+    net, table, bank, q0 = make_system(3, seed=13)
+    traj = DensitySim(net, table, bank, q0).run(50)
+    x1, x2 = traj.observables()
+    c, s = np.cos(traj.theta), np.sin(traj.theta)
+    assert x1.tobytes() == (traj.u * c * c).tobytes()
+    assert x2.tobytes() == (traj.u * s * s).tobytes()
+    rows, cols = slice(7, 31), np.array([8, 2, 5])
+    m1, m2 = traj.observables(rows, cols)
+    assert m1.tobytes() == np.ascontiguousarray(x1[rows][:, cols]).tobytes()
+    assert m2.tobytes() == np.ascontiguousarray(x2[rows][:, cols]).tobytes()
+
+
+def test_non_finite_input_is_refused_before_the_first_step(monkeypatch):
+    net, table, bank, q0 = make_system(3, seed=14)
+    bank.win = np.full(net.n_junctions, 0.1)
+    sim = DensitySim(net, table, bank, q0)
+    steps = []
+    monkeypatch.setattr(DensitySim, "step",
+                        lambda self, go: steps.append(go))
+    with pytest.raises(ValueError, match="finite"):
+        sim.run(40, np.r_[np.zeros(39), np.inf])
+    assert steps == [] and sim.t == 0
+    assert sim.q.tobytes() == q0.tobytes()

@@ -52,7 +52,8 @@ def test_matrix_assembly_matches_stacked_columns():
     u = rng.uniform(size=steps)
     k_hist = rng.uniform(size=(steps, nl))
     fdef = FeatureDef(TAG_A_PRIME, mask=[0, 3, 5], roads=[2, 7], horizon=1)
-    mat = assemble_matrix(fdef, x1, x2, u=u, k_hist=k_hist)
+    mat = assemble_matrix(fdef, x1[:, fdef.mask], x2[:, fdef.mask], u=u,
+                          k_hist=k_hist)
     assert mat.shape == (fdef.dim, steps)
     for s in range(steps):
         col = assemble_features(fdef, x1[s], x2[s], u=u[s], k_hist=k_hist[s])

@@ -1,12 +1,23 @@
 """Phase dynamics, go/stop mapping, and the reservoir observables."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficrc.lattice import build_lattice
 from trafficrc.signals import (TWO_PI, MODE_CONSTANT_RATE, MODE_LITERAL,
-                               PhaseBank, link_go, reservoir_observables,
-                               signal_state)
+                               PhaseBank, link_go, reservoir_observables)
+
+
+def random_bank(n, rng, tau=100.0, mode=MODE_CONSTANT_RATE, sigma_in=None,
+                ns_stop_first=True):
+    """Offsets xi ~ U[0, 2*pi); input weights win ~ U[-sigma_in, sigma_in]."""
+    xi = rng.uniform(0.0, TWO_PI, n)
+    win = None if sigma_in is None else rng.uniform(-sigma_in, sigma_in, n)
+    return PhaseBank(tau, xi, mode=mode, win=win, ns_stop_first=ns_stop_first)
 
 
 def test_constant_rate_matches_closed_form_bitwise():
@@ -79,16 +90,6 @@ def test_input_validation():
         PhaseBank(100.0, [0.0], mode="warp")
 
 
-def test_random_bank_draws_in_range():
-    rng = np.random.default_rng(42)
-    bank = PhaseBank.random(25, rng, sigma_in=0.3)
-    assert bank.xi.shape == (25,)
-    assert np.all((bank.xi >= 0.0) & (bank.xi < TWO_PI))
-    assert np.all(np.abs(bank.win) <= 0.3)
-    plain = PhaseBank.random(25, rng)
-    assert plain.win is None
-
-
 def test_copy_is_independent():
     bank = PhaseBank(100.0, [0.1, 0.2], win=[0.3, 0.4])
     dup = bank.copy()
@@ -101,9 +102,8 @@ def test_copy_is_independent():
 @pytest.mark.parametrize("mode", [MODE_CONSTANT_RATE, MODE_LITERAL])
 def test_concatenated_banks_step_as_their_parts(mode):
     rng = np.random.default_rng(12)
-    parts = [PhaseBank.random(n, rng, tau=rng.uniform(5.0, 60.0), mode=mode,
-                              sigma_in=0.5,
-                              ns_stop_first=rng.uniform(size=n) < 0.5)
+    parts = [random_bank(n, rng, tau=rng.uniform(5.0, 60.0), mode=mode,
+                         sigma_in=0.5, ns_stop_first=rng.uniform(size=n) < 0.5)
              for n in (4, 1, 9)]
     parts[0].step(0, 0.7)   # a bank already under way keeps its state
     for b in parts[1:]:
@@ -128,40 +128,45 @@ def test_concat_refuses_mixed_banks():
         PhaseBank.concat([a, PhaseBank(10.0, np.zeros(2), win=np.ones(2))])
 
 
-def test_signal_state_convention():
+def gate_probe(n_junctions):
+    """A stand-in network for link_go: links 0..J-1 ride the NS axis into
+    junctions 0..J-1, links J..2J-1 the EW axis, so go[:J] is each
+    junction's NS state and go[J:] its EW state."""
+    j = np.arange(n_junctions)
+    return SimpleNamespace(link_to=np.r_[j, j],
+                           link_axis_ns=np.r_[j >= 0, j < 0])
+
+
+def test_link_go_convention():
     theta = np.array([0.0, 0.5, np.pi - 1e-9, np.pi, 4.0, TWO_PI - 1e-9])
     first_half = np.array([True, True, True, False, False, False])
-    ns_go, ew_go = signal_state(theta)
+    probe = gate_probe(theta.size)
+    go = link_go(theta, True, probe)
     # first half of the period: north-south stops, east-west goes
-    assert np.array_equal(ns_go, ~first_half)
-    assert np.array_equal(ew_go, first_half)
-    ns_go2, ew_go2 = signal_state(theta, ns_stop_first=False)
-    assert np.array_equal(ns_go2, first_half)
-    assert np.array_equal(ew_go2, ~first_half)
+    assert np.array_equal(go[:6], ~first_half)
+    assert np.array_equal(go[6:], first_half)
+    go = link_go(theta, False, probe)
+    assert np.array_equal(go[:6], first_half)
+    assert np.array_equal(go[6:], ~first_half)
 
 
-def test_signal_state_per_junction_flags():
-    theta = np.array([0.5, 0.5])
-    ns_go, ew_go = signal_state(theta, ns_stop_first=np.array([True, False]))
-    assert ns_go.tolist() == [False, True]
-    assert ew_go.tolist() == [True, False]
+def test_link_go_per_junction_flags():
+    go = link_go(np.array([0.5, 0.5]), np.array([True, False]), gate_probe(2))
+    assert go[:2].tolist() == [False, True]
+    assert go[2:].tolist() == [True, False]
 
 
-def test_signal_state_is_periodic():
+def test_link_go_is_periodic():
     theta = np.linspace(0.0, TWO_PI, 37, endpoint=False)
-    a = signal_state(theta)
-    b = signal_state(theta + 3 * TWO_PI)
-    assert np.array_equal(a[0], b[0])
+    probe = gate_probe(theta.size)
+    assert np.array_equal(link_go(theta, True, probe),
+                          link_go(theta + 3 * TWO_PI, True, probe))
 
 
 def test_phase_period_tau_steps():
     rng = np.random.default_rng(1)
-    bank = PhaseBank.random(9, rng, tau=100.0)
-    states = []
-    for t in range(300):
-        states.append(signal_state(bank.theta)[0].copy())
-        bank.step(t)
-    states = np.asarray(states)
+    bank = random_bank(9, rng, tau=100.0)
+    states = link_go(bank.schedule(0, 300), bank.ns_stop_first, gate_probe(9))
     assert np.array_equal(states[:100], states[100:200])
     assert np.array_equal(states[:100], states[200:300])
 
@@ -169,11 +174,9 @@ def test_phase_period_tau_steps():
 def test_link_go_routes_axis_state_of_destination():
     net = build_lattice(2)
     # first half everywhere: NS stops, EW goes (default convention)
-    bank = PhaseBank(100.0, np.full(4, 0.5))
-    go = link_go(bank, net)
-    assert np.array_equal(go, ~net.link_axis_ns)
-    flipped = PhaseBank(100.0, np.full(4, 0.5), ns_stop_first=False)
-    assert np.array_equal(link_go(flipped, net), net.link_axis_ns)
+    theta = np.full(4, 0.5)
+    assert np.array_equal(link_go(theta, True, net), ~net.link_axis_ns)
+    assert np.array_equal(link_go(theta, False, net), net.link_axis_ns)
 
 
 def test_link_go_selects_each_links_axis_state():
@@ -183,12 +186,69 @@ def test_link_go_selects_each_links_axis_state():
     stop_first = rng.uniform(size=net.n_junctions) < 0.5
     bank = PhaseBank(37.0, rng.uniform(0.0, TWO_PI, net.n_junctions),
                      ns_stop_first=stop_first)
+    dst = net.link_to
+    rows = []
     for t in range(500):
-        ns_go, ew_go = signal_state(bank.theta, stop_first)
-        dst = net.link_to
-        expect = np.where(net.link_axis_ns, ns_go[dst], ew_go[dst])
-        assert np.array_equal(link_go(bank, net), expect)
+        ns_go = (np.mod(bank.theta, TWO_PI) < np.pi) ^ stop_first
+        expect = np.where(net.link_axis_ns, ns_go[dst], ~ns_go[dst])
+        assert np.array_equal(link_go(bank.theta, stop_first, net), expect)
+        rows.append(expect)
         bank.step(t)
+    # over a (steps, junctions) schedule it gates every row at once
+    replay = PhaseBank(37.0, bank.xi, ns_stop_first=stop_first)
+    assert np.array_equal(link_go(replay.schedule(0, 500), stop_first, net),
+                          np.array(rows))
+
+
+# --- schedule ------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       mode=st.sampled_from([MODE_CONSTANT_RATE, MODE_LITERAL]),
+       with_input=st.booleans(), per_junction_tau=st.booleans(),
+       t0=st.integers(0, 300), steps=st.integers(0, 400))
+def test_schedule_matches_stepping_bitwise(seed, n, mode, with_input,
+                                           per_junction_tau, t0, steps):
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(3.0, 200.0, n) if per_junction_tau else rng.uniform(3.0, 200.0)
+    bank = random_bank(n, rng, tau=tau, mode=mode,
+                       sigma_in=rng.uniform(0.01, 2.0) if with_input else None,
+                       ns_stop_first=rng.uniform(size=n) < 0.5)
+    inputs = rng.normal(size=t0 + steps) if with_input else None
+    # t0 > 0: both banks first step through t0 steps, input included
+    for t in range(t0):
+        bank.step(t, None if inputs is None else inputs[t])
+    ref = bank.copy()
+    rows = bank.schedule(t0, steps, inputs)
+    assert rows.shape == (steps, n)
+    for s in range(steps):
+        assert rows[s].tobytes() == ref.theta.tobytes(), s
+        ref.step(t0 + s, None if inputs is None else inputs[t0 + s])
+    # the bank ends where stepping leaves it, so a later run resumes there
+    assert bank.theta.tobytes() == ref.theta.tobytes()
+    assert bank._input_acc.tobytes() == ref._input_acc.tobytes()
+    more = bank.schedule(t0 + steps, 5, None if inputs is None
+                         else np.r_[inputs, rng.normal(size=5)])
+    assert more[0].tobytes() == ref.theta.tobytes()
+
+
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_RATE, MODE_LITERAL])
+def test_schedule_refuses_bad_input_before_moving(mode):
+    wired = PhaseBank(100.0, [0.1, 0.2], mode=mode, win=[0.3, 0.4])
+    wired.step(0, 1.0)
+    theta, acc = wired.theta.copy(), wired._input_acc.copy()
+    bad = np.r_[np.ones(9), np.nan]
+    with pytest.raises(ValueError, match="external input must be finite"):
+        wired.schedule(1, 9, bad)
+    with pytest.raises(ValueError, match="shorter"):
+        wired.schedule(1, 10, np.ones(10))
+    assert np.array_equal(wired.theta, theta)
+    assert np.array_equal(wired._input_acc, acc)
+    plain = PhaseBank(100.0, [0.1], mode=mode)
+    with pytest.raises(ValueError, match="requires configured input weights"):
+        plain.schedule(0, 3, np.ones(3))
+    # input used only up to the run's end may hold anything past it
+    assert wired.schedule(1, 8, bad).shape == (8, 2)
 
 
 # --- observables -------------------------------------------------------------

@@ -10,7 +10,8 @@ from trafficrc.agents import AgentSim
 from trafficrc.density import DensitySim
 from trafficrc.io import ConfigError, config_from_dict
 from trafficrc.lattice import build_lattice
-from trafficrc.readout import log_nrmse
+from trafficrc.readout import TAG_A, FeatureDef, assemble_matrix, log_nrmse
+from trafficrc.signals import reservoir_observables
 from trafficrc.tasks import (average_prediction, default_target_link,
                              lag_diagnostic, run_experiment, run_simulation,
                              run_task1_agents, run_task1_density,
@@ -342,9 +343,9 @@ def sim_runs(monkeypatch):
     """Steps requested from every DensitySim.run and AgentSim.run call."""
     calls = []
     for cls in (DensitySim, AgentSim):
-        def run(self, steps, inputs=None, _run=cls.run):
+        def run(self, steps, inputs=None, _run=cls.run, **kwargs):
             calls.append(steps)
-            return _run(self, steps, inputs)
+            return _run(self, steps, inputs, **kwargs)
         monkeypatch.setattr(cls, "run", run)
     return calls
 
@@ -410,6 +411,56 @@ def test_sweep_rejects_bad_values_before_simulating(sim_runs, kind, param, value
     assert sim_runs == []
 
 
+@pytest.mark.parametrize("patch", [
+    dict(_SMALL_DENSITY, target_link=[0, 8]),
+    dict(_SMALL_DENSITY, target_link=[0, 4]),
+])
+def test_bad_target_link_is_refused_before_simulating(sim_runs, patch):
+    # junctions 0 and 8 (or 4) of the 3x3 grid are not neighbours
+    cfg = config_from_dict(patch)
+    with pytest.raises(ConfigError, match="'target_link'"):
+        run_experiment(cfg)
+    with pytest.raises(ConfigError, match="'target_link'"):
+        sweep(cfg, "p", [0.5, 1.0])
+    assert sim_runs == []
+
+
+@pytest.mark.parametrize("kind", ["density", "agents", "series"])
+def test_prediction_on_a_single_junction_is_refused(sim_runs, kind):
+    cfg = config_from_dict(dict(_SMALL[kind], n=1, M=0))
+    with pytest.raises(ConfigError, match="'n'"):
+        run_experiment(cfg)
+    assert sim_runs == []
+
+
+@pytest.mark.parametrize("kind", ["density", "agents", "series"])
+def test_lean_trajectories_read_out_as_full_ones(kind):
+    cfg = config_from_dict(dict(_SMALL[kind]))
+    inputs, links, readout = tasks._plan(cfg)
+    expect = {"density": 1, "agents": None, "series": 0}[kind]
+    assert (links if links is None else len(links)) == expect
+    steps = tasks._span(cfg)[0]
+    trials = range(cfg.trials)
+    lean = tasks._simulate(cfg, trials, steps, inputs, links)
+    full = tasks._simulate(cfg, trials, steps, inputs)
+    for trial, (net, lt), (_, ft) in zip(trials, lean, full):
+        assert lt.u.tobytes() == ft.u.tobytes()
+        assert lt.theta.tobytes() == ft.theta.tobytes()
+        _assert_same_trials([readout(trial, net, lt)],
+                            [readout(trial, net, ft)])
+
+
+def test_readout_features_derive_the_observables_of_their_mask():
+    cfg = config_from_dict(dict(_SMALL_DENSITY))
+    net, traj = run_simulation(cfg, 80)
+    x1, x2 = reservoir_observables(traj.u, traj.theta)
+    fdef = FeatureDef(TAG_A, np.array([7, 0, 4]), horizon=2)
+    u = np.arange(30.0)
+    got = tasks._features(fdef, traj, slice(40, 70), u=u)
+    want = assemble_matrix(fdef, x1[40:70, fdef.mask], x2[40:70, fdef.mask], u=u)
+    assert got.tobytes() == want.tobytes()
+
+
 # --- one-shot simulation -------------------------------------------------------
 
 def test_run_simulation_spans_experiment_by_default():
@@ -431,4 +482,5 @@ def test_run_simulation_agents_model():
     cfg = config_from_dict(dict(_SMALL_AGENTS, steps=25))
     net, traj = run_simulation(cfg)
     assert traj.k.shape == (25, net.n_links)
-    assert traj.x1.shape == (25, net.n_junctions)
+    assert traj.theta.shape == (25, net.n_junctions)
+    assert traj.observables()[0].shape == (25, net.n_junctions)
