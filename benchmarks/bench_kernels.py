@@ -11,12 +11,12 @@ is round(1/dt) Euler substeps plus the junction transfers. Reports the
 median and quartiles of ms per step over rounds and the median us per link
 per step, which stays flat when a step is linear in the lattice size.
 
-The agents union rows time one AgentSim.union of K blocks of the n = 3
-agents model (block b seeded 7 + b), as the tasks batch paired trials: ms
-per step per trial and us per link show how far K blocks in one set of
-arrays amortise the per-call overhead of a small lattice. The unions are
-timed round-robin, one round of each K in turn, so a drift of the host's
-speed reaches every K alike.
+The union rows time one union of K blocks (block b seeded 7 + b) of the
+n = 3 agents model and of the n = 5 density model, as the tasks batch
+trials: ms per step per trial and us per link show how far K blocks in one
+set of arrays amortise the per-call overhead of a small lattice. Each
+model's unions are timed round-robin, one round of each K in turn, so a
+drift of the host's speed reaches every K alike.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --agents-n 3,6,10 --density-n 5,10,20,40 --json out.json
@@ -51,7 +51,7 @@ def build_sim(model, n, seed=7):
     return DensitySim(net, table, bank, q0)
 
 
-UNION_N = 3
+UNION_N = {"agents": 3, "density": 5}
 ROUNDS = 20
 
 
@@ -85,7 +85,8 @@ def main(argv=None):
     ap.add_argument("--density-n", type=_sizes, default=[5, 10, 20, 40],
                     help="lattice sizes for the density model")
     ap.add_argument("--union-k", type=_sizes, default=[1, 2, 4],
-                    help="block counts of the n=3 agents unions")
+                    help="block counts of the n=3 agents and n=5 density "
+                         "unions")
     ap.add_argument("--agents-steps", type=int, default=200,
                     help="timed reservoir steps per agents size")
     ap.add_argument("--density-steps", type=int, default=2000,
@@ -95,7 +96,8 @@ def main(argv=None):
     ap.add_argument("--json", help="also write the results to this file")
     args = ap.parse_args(argv)
 
-    rows = {"agents": [], "density": [], "agents_union": []}
+    rows = {"agents": [], "density": [], "agents_union": [],
+            "density_union": []}
     print(f"{'model':<8} {'n':>3} {'links':>6} {'ms/step':>9} "
           f"{'q1':>9} {'q3':>9} {'us/link':>8}")
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
@@ -112,18 +114,23 @@ def main(argv=None):
     if args.union_k:
         print(f"\n{'union':<8} {'n':>3} {'K':>3} {'links':>6} {'ms/step':>9} "
               f"{'ms/trial':>9} {'us/link':>8}")
-    unions = [AgentSim.union([build_sim("agents", UNION_N, seed=7 + b)
-                              for b in range(k)]) for k in args.union_k]
-    times = time_round_robin(unions, args.agents_steps, args.warmup)
-    for k, sim, t in zip(args.union_k, unions, times):
-        r = {"n": UNION_N, "blocks": k, "links": sim.net.n_links,
-             "steps": args.agents_steps, "ms_per_step": t,
-             "ms_per_trial_step": round(t["median"] / k, 4),
-             "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3)}
-        rows["agents_union"].append(r)
-        print(f"{'agents':<8} {UNION_N:>3} {k:>3} {r['links']:>6} "
-              f"{t['median']:>9.3f} {r['ms_per_trial_step']:>9.3f} "
-              f"{r['us_per_link']:>8.2f}")
+        for model, steps in (("agents", args.agents_steps),
+                             ("density", args.density_steps)):
+            n = UNION_N[model]
+            unions = []
+            for k in args.union_k:
+                sims = [build_sim(model, n, seed=7 + b) for b in range(k)]
+                unions.append(type(sims[0]).union(sims))
+            times = time_round_robin(unions, steps, args.warmup)
+            for k, sim, t in zip(args.union_k, unions, times):
+                r = {"n": n, "blocks": k, "links": sim.net.n_links,
+                     "steps": steps, "ms_per_step": t,
+                     "ms_per_trial_step": round(t["median"] / k, 4),
+                     "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3)}
+                rows[f"{model}_union"].append(r)
+                print(f"{model:<8} {n:>3} {k:>3} {r['links']:>6} "
+                      f"{t['median']:>9.3f} {r['ms_per_trial_step']:>9.3f} "
+                      f"{r['us_per_link']:>8.2f}")
     if args.json:
         env = {"python": platform.python_version(), "numpy": np.__version__,
                "machine": platform.machine()}

@@ -5,7 +5,7 @@ from .io import ExperimentConfig, Series, load_config, read_series_csv, synth_se
 from .lattice import Network, TurnTable, assign_turn_table, build_lattice
 from .signals import PhaseBank, reservoir_observables
 from .density import DensitySim, Trajectory, init_density
-from .agents import AgentSim, AgentState, OVParams, init_agents, ov_velocity
+from .agents import AgentSim, AgentState, OVParams, init_agents
 from .readout import (FeatureDef, ReadoutModel, assemble_matrix, log_nrmse,
                       predict, ridge_fit)
 from .tasks import (TrialResult, average_prediction, lag_diagnostic,
@@ -18,7 +18,7 @@ __all__ = [
     "assign_turn_table", "build_lattice", "PhaseBank",
     "reservoir_observables", "DensitySim", "Trajectory",
     "init_density", "AgentSim", "AgentState", "OVParams", "init_agents",
-    "ov_velocity", "FeatureDef", "ReadoutModel", "assemble_matrix",
+    "FeatureDef", "ReadoutModel", "assemble_matrix",
     "log_nrmse", "predict", "ridge_fit", "TrialResult",
     "average_prediction", "lag_diagnostic", "run_experiment",
     "run_task1_agents", "run_task1_density", "run_task2_external",

@@ -5,19 +5,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .density import Trajectory
-from .lattice import TurnTable
-# reservoir_observables stays importable here: perfbench/tracer.py wraps it
-from .signals import PhaseBank, link_go, reservoir_observables  # noqa: F401
+from .density import _Reservoir
+# link_go and reservoir_observables stay importable here: perfbench/tracer.py
+# wraps them
+from .signals import link_go, reservoir_observables  # noqa: F401
 
 __all__ = [
-    "OVParams", "ov_velocity", "AgentState", "init_agents",
-    "agent_link_densities", "AgentSim",
+    "OVParams", "AgentState", "init_agents", "agent_link_densities",
+    "AgentSim",
 ]
 
 
@@ -62,19 +61,6 @@ class OVParams:
     def v_sup(self):
         """Supremum of the optimal-velocity function."""
         return 0.5 * self.v_scale * (1.0 + math.tanh(self.c / self.w))
-
-
-def ov_velocity(h, params):
-    """Optimal speed V(h) = (v_scale/2) [tanh((h-c)/w) + tanh(c/w)].
-
-    V(0) = 0, V is nondecreasing and saturates at v_sup. Headways must be
-    nonnegative.
-    """
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0):
-        raise ValueError("headway must be nonnegative")
-    half = 0.5 * params.v_scale
-    return half * (np.tanh((h - params.c) / params.w) + np.tanh(params.c / params.w))
 
 
 class AgentState:
@@ -167,92 +153,51 @@ def agent_link_densities(state, net):
     return counts / net.length
 
 
-class _UnionNet(NamedTuple):
-    """The parts of a network that a step reads, for networks side by side."""
-    n_links: int
-    n_junctions: int
-    link_to: np.ndarray
-    length: np.ndarray
-    link_axis_ns: np.ndarray
-
-
-class AgentSim:
+class AgentSim(_Reservoir):
     """Steps the multi-agent model; runs record reservoir trajectories.
 
-    Each reservoir step records the agent-count densities, junction inflow
-    sums and phases, then runs the Euler substeps under that step's fixed
-    signal state. A red light acts as a stationary obstacle at the stop
-    line; a leader crossing on green moves to its pre-drawn outgoing link at
-    x - L with velocity kept, and is blocked at the line when the target
-    link has no room at its upstream end.
+    Each reservoir step takes the agent-count densities, then runs the
+    Euler substeps under that step's fixed signal state. A red light acts as
+    a stationary obstacle at the stop line; a leader crossing on green moves
+    to its pre-drawn outgoing link at x - L with velocity kept, and is
+    blocked at the line when the target link has no room at its upstream
+    end.
 
-    A sim holds one or more blocks (see union): independent networks, each
-    with its own turn table, phases, agents and rng, stepped in one set of
-    arrays. A sim built from one network is a single block.
+    The blocks of a union (see _Reservoir.union) each keep their own agents
+    and rng.
     """
 
     def __init__(self, net, table, bank, state, params, rng):
-        if bank.n_junctions != net.n_junctions:
-            raise ValueError("phase bank size does not match the network")
-        if table.n_links != net.n_links:
-            raise ValueError("turn table size does not match the network")
-        self.net = net
-        self.table = table
-        self.bank = bank
+        # the block index reads the agents, so they come first
         self.state = state
         self.params = params
         self.rngs = [rng]
-        self.t = 0
         self.min_gaps = np.full(1, math.inf)
+        super().__init__(net, table, bank)
         self._sampler = _TurnSampler(table)
         self._tanh_c = math.tanh(params.c / params.w)
-        self._index_blocks([net.n_links], [net.n_junctions])
 
     @classmethod
-    def union(cls, sims):
-        """One sim that steps the blocks of `sims` side by side.
-
-        Block ids run in the order of `sims`, and each block's link and
-        junction ids follow those of the blocks before it. Blocks never
-        exchange agents, transfers stay lowest link id first and turn draws
-        take the rng of the target link's block, so every block steps bit
-        for bit as its own sim would. The sims must share params and time;
-        they are not advanced themselves, but their rngs are shared.
-        """
+    def _joined(cls, sims, net, table, bank, lo):
+        """The union's sim: blocks never exchange agents, transfers stay
+        lowest link id first and turn draws take the rng of the target
+        link's block. The sims must share params; their rngs are shared."""
         first = sims[0]
-        if any(s.params != first.params or s.t != first.t for s in sims):
-            raise ValueError("union blocks must share params and time")
-        lo = np.cumsum([0] + [s.net.n_links for s in sims])
-        jo = np.cumsum([0] + [s.net.n_junctions for s in sims])
-        net = _UnionNet(
-            int(lo[-1]), int(jo[-1]),
-            np.concatenate([s.net.link_to + j for s, j in zip(sims, jo)]),
-            np.concatenate([s.net.length for s in sims]),
-            np.concatenate([s.net.link_axis_ns for s in sims]))
-        table = TurnTable(
-            np.concatenate([np.where(s.table.idx >= 0, s.table.idx + o, -1)
-                            for s, o in zip(sims, lo)]),
-            np.concatenate([s.table.wgt for s in sims]),
-            np.concatenate([s.table.cnt for s in sims]))
+        if any(s.params != first.params for s in sims):
+            raise ValueError("union blocks must share params")
         sts = [s.state for s in sims]
         state = AgentState(
             np.concatenate([st.link + o for st, o in zip(sts, lo)]),
             np.concatenate([st.x for st in sts]),
             np.concatenate([st.v for st in sts]),
             np.concatenate([st.next_link + o for st, o in zip(sts, lo)]))
-        sim = cls(net, table, PhaseBank.concat([s.bank for s in sims]), state,
-                  first.params, None)
-        sim.t = first.t
+        sim = cls(net, table, bank, state, first.params, None)
         sim.rngs = [r for s in sims for r in s.rngs]
         sim.min_gaps = np.concatenate([s.min_gaps for s in sims])
-        sim._index_blocks(np.concatenate([np.diff(s._link_off) for s in sims]),
-                          np.concatenate([np.diff(s._junction_off) for s in sims]))
         return sim
 
     def _index_blocks(self, links, junctions):
-        """Block offsets from the per-block link and junction counts."""
-        self._link_off = np.cumsum(np.r_[0, links])
-        self._junction_off = np.cumsum(np.r_[0, junctions])
+        super()._index_blocks(links, junctions)
         self._block_of_link = np.repeat(np.arange(len(links)), links).tolist()
         # a block's agents stay on its links, so its agent slice is fixed;
         # min_gap reduces over the slices of the blocks that have agents
@@ -261,57 +206,21 @@ class AgentSim:
         self._gap_at = agent_off[self._gap_of]
 
     @property
-    def blocks(self):
-        return len(self.rngs)
-
-    @property
     def min_gap(self):
         """Smallest same-link spacing seen by any block (inf before any)."""
         return float(self.min_gaps.min())
 
-    def split(self, traj):
-        """Per-block trajectories of a run of this sim, in block order.
-
-        Each gets C-contiguous arrays of its own columns, laid out as those
-        of a run of the block's own sim.
-        """
-        jo, lo = self._junction_off, self._link_off
-        out = []
-        for b in range(self.blocks):
-            js, ls = slice(jo[b], jo[b + 1]), slice(lo[b], lo[b + 1])
-            out.append(Trajectory(
-                traj.t0, np.ascontiguousarray(traj.u[:, js]),
-                np.ascontiguousarray(traj.theta[:, js]),
-                np.ascontiguousarray(traj.k[:, ls])))
-        return out
-
-    def step(self, red):
-        """Advance one reservoir step under the per-link red mask: the Euler
-        substeps and their transfers."""
+    def step(self, go):
+        """Advance one reservoir step under the per-link go mask: the Euler
+        substeps and their transfers. Returns the link densities taken
+        before the step."""
+        dens = agent_link_densities(self.state, self.net)
         for _ in range(self.params.substeps):
-            self._substep(red)
+            self._substep(go)
         self.t += 1
+        return dens
 
-    def run(self, steps, inputs=None):
-        """Run `steps` steps and record them; inputs[t] (if given) is
-        injected at step t. Every link's density is stored.
-
-        The phases never see the traffic, so the whole run's phase schedule
-        and red masks are computed first; the loop only moves the agents.
-        """
-        net = self.net
-        t0 = self.t
-        theta = self.bank.schedule(t0, steps, inputs)
-        red = ~link_go(theta, self.bank.ns_stop_first, net)
-        u = np.empty((steps, net.n_junctions))
-        k = np.empty((steps, net.n_links))
-        for s in range(steps):
-            k[s] = agent_link_densities(self.state, net)
-            u[s] = np.bincount(net.link_to, weights=k[s], minlength=net.n_junctions)
-            self.step(red[s])
-        return Trajectory(t0, u, theta, k)
-
-    def _substep(self, red):
+    def _substep(self, go):
         st = self.state
         p = self.params
         n = st.count
@@ -323,9 +232,9 @@ class AgentSim:
         lead = np.empty(n, dtype=bool)
         lead[-1] = True
         np.logical_not(same, out=lead[:-1])
-        red_ls = red[ls]
-        red_lead = lead & red_ls
-        green_lead = lead & ~red_ls
+        go_ls = go[ls]
+        red_lead = lead & ~go_ls
+        green_lead = lead & go_ls
         end = self.net.length[ls]
         extra = np.zeros(n)
         if green_lead.any():
@@ -341,7 +250,7 @@ class AgentSim:
                                p.dt, p.d_min)
         crossing = ls[green_lead & (xs > end)]
         if crossing.size:
-            self._transfers(crossing.tolist(), red)
+            self._transfers(crossing.tolist(), go)
             same = st.link[1:] == st.link[:-1]
         # per-block minimum of the same-link gaps, one reduceat over blocks
         gap = np.full(n, np.inf)
@@ -349,7 +258,7 @@ class AgentSim:
         np.minimum.at(self.min_gaps, self._gap_of,
                       np.minimum.reduceat(gap, self._gap_at))
 
-    def _transfers(self, heap, red):
+    def _transfers(self, heap, go):
         """Move green leaders past their stop line onto their next links.
 
         heap holds the links whose leader crosses, ascending; sources are
@@ -406,5 +315,5 @@ class AgentSim:
             ls[k], xs[k], vs[k], nxt[k] = tgt, pos, v, turn
             if follower_crosses:
                 heapq.heappush(heap, src)
-            if t0 == t1 and not red[tgt] and pos > lens[tgt]:
+            if t0 == t1 and go[tgt] and pos > lens[tgt]:
                 heapq.heappush(heap, tgt)

@@ -52,13 +52,9 @@ def _load_cfg(args, force=None):
         data["trials"] = args.trials
     if getattr(args, "steps", None) is not None:
         data["steps"] = args.steps
-    return _io.config_from_dict(data)
-
-
-def _load_series(args):
     if getattr(args, "series", None):
-        return _io.read_series_csv(args.series)
-    return None
+        data["series_csv"] = args.series
+    return _io.config_from_dict(data)
 
 
 def _cmd_simulate(args):
@@ -77,8 +73,7 @@ def _cmd_simulate(args):
 
 def _cmd_task(args, command):
     cfg = _load_cfg(args, force=_TASK_COMMANDS[command])
-    series = _load_series(args) if command == "task2" else None
-    results = tasks.run_experiment(cfg, series)
+    results = tasks.run_experiment(cfg)
     notes = {"summary": tasks.summarize(results)} if results else None
     if command == "task2" and len(results) >= 2:
         k = min(cfg.trial_average, len(results))
@@ -94,8 +89,7 @@ def _cmd_task(args, command):
 def _cmd_sweep(args):
     cfg = _load_cfg(args)
     values = [float(v) for v in args.values.replace(",", " ").split()]
-    series = _load_series(args)
-    result = tasks.sweep(cfg, args.param, values, series)
+    result = tasks.sweep(cfg, args.param, values)
     out = _out_dir(args, "sweep")
     _io.emit_sweep_results(out, f"sweep:{args.param}", cfg, result)
     print(out)

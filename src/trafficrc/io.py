@@ -119,6 +119,8 @@ def _build_config(data):
         _require(isinstance(ov, dict), "ov", "must be an object")
         bad = sorted(set(ov) - _OV_KEYS)
         _require(not bad, "ov", f"unknown keys: {', '.join(bad)}")
+        bad = sorted(k for k, v in ov.items() if not _is_finite(v))
+        _require(not bad, "ov", f"{', '.join(bad)} must be finite numbers")
         try:
             values["ov"] = OVParams(**{k: float(v) for k, v in ov.items()})
         except ValueError as exc:

@@ -19,17 +19,15 @@ def backend():
 
 # --- density model ---------------------------------------------------------
 
-def density_step(q, inv_len, rate, go, dst, n_junctions, src, to, wgt):
-    """One gated movement step. Returns (new link contents, junction inflows).
+def density_step(q, rate, go, src, to, wgt):
+    """One gated movement step; returns the new link contents.
 
-    u is the junction inflow sum Q/L over ALL incoming links, gated or not,
-    taken before any mass moves. Each go link discharges o = rate * Q; the
-    flattened turn table (src, to, wgt) sends o[src[i]] * wgt[i] to link
-    to[i], so the cost is linear in the number of links.
+    Each go link discharges o = rate * Q; the flattened turn table
+    (src, to, wgt) sends o[src[i]] * wgt[i] to link to[i], so the cost is
+    linear in the number of links.
     """
-    u = np.bincount(dst, weights=q * inv_len, minlength=n_junctions)
     o = np.where(go, q * rate, 0.0)
-    return q - o + np.bincount(to, weights=o[src] * wgt, minlength=q.size), u
+    return q - o + np.bincount(to, weights=o[src] * wgt, minlength=q.size)
 
 
 # --- multi-agent model -----------------------------------------------------

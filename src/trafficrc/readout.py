@@ -10,8 +10,7 @@ import scipy.linalg
 
 __all__ = [
     "TAG_A", "TAG_B", "TAG_A_PRIME", "FeatureDef", "ReadoutModel",
-    "assemble_features", "assemble_matrix", "ridge_fit", "predict",
-    "log_nrmse", "save_weights", "load_weights",
+    "assemble_matrix", "ridge_fit", "predict", "log_nrmse",
 ]
 
 TAG_A = "a"
@@ -59,16 +58,6 @@ class FeatureDef:
             d += self.roads.size
         return d
 
-    def column_names(self):
-        names = ["bias"]
-        if self.tag in (TAG_A, TAG_A_PRIME):
-            names.append("u")
-        names += [f"x1_{j}" for j in self.mask]
-        names += [f"x2_{j}" for j in self.mask]
-        if self.tag == TAG_A_PRIME:
-            names += [f"k_{l}" for l in self.roads]
-        return names
-
 
 def _check_u(fdef, u):
     needs_u = fdef.tag in (TAG_A, TAG_A_PRIME)
@@ -76,27 +65,6 @@ def _check_u(fdef, u):
         raise ValueError(f'tag "{fdef.tag}" requires the input signal U')
     if not needs_u and u is not None:
         raise ValueError(f'tag "{fdef.tag}" takes no input signal U')
-
-
-def assemble_features(fdef, x1, x2, u=None, k_hist=None):
-    """One feature column from full per-junction observable vectors.
-
-    u is the scalar delayed input y(t-T); k_hist holds per-link densities at
-    t-T (only the fdef.roads entries are used).
-    """
-    _check_u(fdef, u)
-    parts = [np.ones(1)]
-    if fdef.tag in (TAG_A, TAG_A_PRIME):
-        parts.append(np.atleast_1d(float(u)))
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    parts.append(x1[fdef.mask])
-    parts.append(x2[fdef.mask])
-    if fdef.tag == TAG_A_PRIME:
-        if k_hist is None:
-            raise ValueError('tag "a_prime" requires lagged link densities')
-        parts.append(np.asarray(k_hist, dtype=float)[fdef.roads])
-    return np.concatenate(parts)
 
 
 def assemble_matrix(fdef, x1, x2, u=None, k_hist=None):
@@ -196,22 +164,3 @@ def log_nrmse(y, y_hat, base=10.0, floor=-12.0):
     score = 0.5 * math.log(err / denom) / math.log(base)
     return max(score, float(floor))
 
-
-def save_weights(path, model):
-    """Write the readout as CSV: header of feature names, one row per output."""
-    names = (model.fdef.column_names() if model.fdef is not None
-             else [f"f{i}" for i in range(model.weights.shape[1])])
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in np.atleast_2d(model.weights):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_weights(path):
-    """Read a CSV written by save_weights (feature definition not recovered)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError("weights file has no data rows")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return ReadoutModel(weights=np.asarray(rows), beta=math.nan)

@@ -13,7 +13,7 @@ Three tasks are implemented:
 Trials are paired through per-purpose rng streams derived from
 (seed, trial, stream id), so every value of a parameter sweep sees the same
 random networks, initial states, and phases. Each experiment is a reservoir
-run (_simulate) followed by a task readout of its trajectory; small agents
+run (_simulate) followed by a task readout of its trajectory; small
 lattices run a batch of trials as one disjoint-union simulation.
 """
 
@@ -187,7 +187,7 @@ def _score(cfg, trial, fdef, x, teacher):
                        t0, per_output=tuple(per_output))
 
 
-# agents trials per union: enough blocks for about this many links. Two n=3
+# trials per union: enough blocks for about this many links. Two n=3 agents
 # blocks (48 links) step a trial about 30% cheaper than one; more blocks save
 # more but keep more trajectories alive, and n >= 4 stays one trial a time.
 _BATCH_LINKS = 48
@@ -196,13 +196,10 @@ _BATCH_LINKS = 48
 def _batches(cfg):
     """Trials in order, cut into the batches that _simulate runs together.
 
-    An agents batch holds min(trials, ceil(_BATCH_LINKS / n_links)) trials,
-    so small lattices share one union and n >= 4 runs one trial at a time;
-    density trials always run one at a time.
+    A batch holds min(trials, ceil(_BATCH_LINKS / n_links)) trials, so small
+    lattices share one union and n >= 4 runs one trial at a time.
     """
-    size = 1
-    if cfg.model == "agents":
-        size = min(cfg.trials, -(-_BATCH_LINKS // cfg.n_links))
+    size = min(cfg.trials, -(-_BATCH_LINKS // cfg.n_links))
     return [range(b, min(b + size, cfg.trials))
             for b in range(0, cfg.trials, size)]
 
@@ -212,11 +209,9 @@ def _simulate(cfg, trials, steps, inputs=None, links=None):
     `steps` steps.
 
     The readout fields (p, M, beta) play no part. inputs[t], if given, is
-    injected at step t through each trial's input weights. A density run
-    stores the densities of `links` only (None: every link); agents runs
-    store every link. Agents trials run as the blocks of one union sim,
-    density trials one after another. Returns one (net, traj) per trial, in
-    order.
+    injected at step t through each trial's input weights. A run stores the
+    densities of `links` only (None: every link). The trials run as the
+    blocks of one union sim. Returns one (net, traj) per trial, in order.
     """
     net = build_lattice(cfg.n, cfg.link_length)
     sims = []
@@ -237,10 +232,9 @@ def _simulate(cfg, trials, steps, inputs=None, links=None):
                               stream_rng(cfg.seed, trial, STREAM_INIT),
                               how=cfg.init)
             sims.append(DensitySim(net, table, bank, q0))
-    if cfg.model == "agents":
-        sim = AgentSim.union(sims)
-        return [(net, traj) for traj in sim.split(sim.run(steps, inputs=inputs))]
-    return [(net, sim.run(steps, inputs=inputs, links=links)) for sim in sims]
+    sim = type(sims[0]).union(sims)
+    runs = sim.split(sim.run(steps, inputs=inputs, links=links))
+    return [(net, traj) for traj in runs]
 
 
 def _features(fdef, traj, rows, u=None, k_hist=None):
@@ -294,6 +288,8 @@ def _read_series(cfg, y, z, trial, net, traj):
 
 
 def _series_values(cfg, series, steps):
+    if series is None and cfg.series_csv is not None:
+        series = _io.read_series_csv(cfg.series_csv)
     if series is None:
         sp = cfg.series_synth
         length = sp.length if sp.length is not None else steps

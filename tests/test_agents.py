@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from trafficrc import kernels
 from trafficrc.agents import (AgentSim, AgentState, OVParams,
-                              agent_link_densities, init_agents, ov_velocity)
+                              agent_link_densities, init_agents)
 from trafficrc.lattice import assign_turn_table, build_lattice
 from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
                                PhaseBank, link_go)
@@ -18,26 +18,45 @@ from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
 
 # --- optimal velocity function -----------------------------------------------
 
+def ov_velocity(h, params):
+    """Reference optimal speed V(h) = (v_scale/2) [tanh((h-c)/w) + tanh(c/w)]."""
+    h = np.asarray(h, dtype=float)
+    half = 0.5 * params.v_scale
+    return half * (np.tanh((h - params.c) / params.w) + np.tanh(params.c / params.w))
+
+
+def kernel_velocity(h, params):
+    """The optimal speed the kernel relaxes to: one substep with a = dt = 1
+    of standing lone green leaders whose headway beyond the line is h."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    n = h.size
+    _, vs = run_kernel(np.zeros(n), np.zeros(n), np.arange(n), h, np.zeros(n),
+                       np.zeros(n, dtype=bool), 1.0, 0.5 * params.v_scale,
+                       params.c, params.w, math.tanh(params.c / params.w),
+                       1.0, params.d_min)
+    return vs
+
+
 def test_velocity_hand_values():
     p = OVParams()
-    assert ov_velocity(0.0, p) == 0.0
-    # at h = c the first tanh vanishes
-    assert ov_velocity(p.c, p) == pytest.approx(
-        0.5 * p.v_scale * math.tanh(p.c / p.w), rel=1e-15)
-    big = ov_velocity(1e6, p)
-    assert big == pytest.approx(0.5 * p.v_scale * (1.0 + math.tanh(p.c / p.w)),
-                                rel=1e-12)
-    assert big < p.v_sup + 1e-12
+    # V(0) = 0; at h = c the first tanh vanishes; V saturates at v_sup
+    h = [0.0, p.c, 1e6]
+    want = [0.0, 0.5 * p.v_scale * math.tanh(p.c / p.w),
+            0.5 * p.v_scale * (1.0 + math.tanh(p.c / p.w))]
+    for v in (ov_velocity(h, p), kernel_velocity(h, p)):
+        assert v == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert v[2] < p.v_sup + 1e-12
 
 
 def test_velocity_monotone_and_nonnegative():
     p = OVParams()
     h = np.linspace(0.0, 12.0, 400)
-    v = ov_velocity(h, p)
+    v = kernel_velocity(h, p)
+    assert v == pytest.approx(ov_velocity(h, p), rel=1e-14, abs=1e-15)
     assert np.all(np.diff(v) >= 0)
     assert np.all(v >= 0)
-    with pytest.raises(ValueError):
-        ov_velocity(-0.1, p)
+    # a negative headway counts as none
+    assert kernel_velocity(-0.1, p)[0] == kernel_velocity(0.0, p)[0]
 
 
 def test_params_validation():
@@ -393,7 +412,7 @@ class ResortTransfersSim(AgentSim):
     arrays, move it, and re-sort all agents, once per transfer: the reference
     for the in-place insertion."""
 
-    def _transfers(self, heap, red):
+    def _transfers(self, heap, go):
         st = self.state
         lens = self.net.length
         p = self.params
@@ -403,7 +422,7 @@ class ResortTransfersSim(AgentSim):
             lead = np.empty(n, dtype=bool)
             lead[-1] = True
             lead[:-1] = ls[1:] != ls[:-1]
-            cross = lead & ~red[ls] & (xs > lens[ls])
+            cross = lead & go[ls] & (xs > lens[ls])
             hits = np.flatnonzero(cross)
             if hits.size == 0:
                 return

@@ -108,6 +108,8 @@ def test_validation_rejects_infinite_nested_values(group, name):
     ({"turn_weights": ["a", 0.5, 0.5]}, "turn_weights"),
     ({"turn_weights": [None, 0.5, 0.5]}, "turn_weights"),
     ({"series_synth": {"rho": "x"}}, "series_synth"),
+    ({"model": "agents", "ov": {"a": None}}, "ov"),
+    ({"ov": {"dt": [0.1]}}, "ov"),
 ])
 def test_validation_refuses_wrongly_typed_values(patch, key):
     # a string once reached a numeric comparison and raised a bare TypeError
@@ -349,6 +351,29 @@ def test_cli_task2_with_series_file(tmp_path):
     notes = manifest["notes"]
     assert notes["averaged_trials"] == 2
     assert math.isfinite(notes["averaged_lognrmse"])
+
+
+@pytest.mark.parametrize("command", [
+    ["task2"],
+    ["sweep", "--param", "p", "--values", "0.5,1.0"],
+])
+def test_cli_series_run_reruns_from_its_manifest(tmp_path, command):
+    cfg = _write_cfg(tmp_path, task="external_series")
+    spath = tmp_path / "input.csv"
+    write_series_csv(spath, np.linspace(0, 1, 200) + np.sin(np.arange(200) / 9.0))
+    out1, out2, synth = tmp_path / "a", tmp_path / "b", tmp_path / "s"
+    assert main(command + ["--config", cfg, "--series", str(spath),
+                           "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["resolved_config"]["series_csv"] == str(spath)
+    assert main(command + ["--config", str(out1 / "manifest.json"),
+                           "--out", str(out2)]) == 0
+    for name in sorted(os.listdir(out1)):
+        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+    # the series is read, not replaced by the synthetic default
+    assert main(command + ["--config", cfg, "--out", str(synth)]) == 0
+    assert (synth / "results.csv").read_bytes() != \
+        (out1 / "results.csv").read_bytes()
 
 
 def test_cli_sweep(tmp_path):

@@ -9,7 +9,8 @@ from trafficrc import kernels
 from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
-from trafficrc.signals import TWO_PI, PhaseBank, link_go
+from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
+                               PhaseBank, link_go)
 from trafficrc.tasks import run_simulation
 
 
@@ -74,10 +75,14 @@ def scatter_args(net, table):
 
 
 def step(q, go, net, table):
-    inv_len = 1.0 / net.length
-    return kernels.density_step(q, inv_len, np.minimum(inv_len, 1.0), go,
-                                net.link_to, net.n_junctions,
-                                *scatter_args(net, table))
+    rate = np.minimum(1.0 / net.length, 1.0)
+    return kernels.density_step(q, rate, go, *scatter_args(net, table))
+
+
+def first_inflows(q, net, table):
+    """The junction inflows u that a run records before its first step."""
+    bank = PhaseBank(100.0, np.zeros(net.n_junctions))
+    return DensitySim(net, table, bank, q).run(1).u[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -90,9 +95,9 @@ def test_kernel_paths_match_oracle(seed, link_length):
     go = rng.uniform(size=net.n_links) < 0.5
 
     q_ref, u_ref = density_oracle(q, 1.0 / net.length, go, table, net)
-    q_new, u_new = step(q, go, net, table)
-    assert q_new == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
-    assert u_new == pytest.approx(u_ref, rel=1e-12, abs=1e-14)
+    assert step(q, go, net, table) == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
+    assert first_inflows(q, net, table) == pytest.approx(u_ref, rel=1e-12,
+                                                         abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,9 +114,10 @@ def test_scatter_step_matches_oracle_on_random_lattices(n, seed, data):
     q = rng.uniform(0.0, 3.0, n_links)
 
     q_ref, u_ref = density_oracle(q, 1.0 / net.length, go, table, net)
-    q_new, u_new = step(q, go, net, table)
+    q_new = step(q, go, net, table)
     assert q_new == pytest.approx(q_ref, rel=1e-12, abs=1e-14)
-    assert u_new == pytest.approx(u_ref, rel=1e-12, abs=1e-14)
+    assert first_inflows(q, net, table) == pytest.approx(u_ref, rel=1e-12,
+                                                         abs=1e-14)
     assert np.all(q_new >= 0)
     assert q_new.sum() == pytest.approx(q.sum(), rel=1e-12)
 
@@ -155,9 +161,9 @@ def test_density_sim_never_builds_the_dense_matrix(monkeypatch):
 def test_closed_system_conserves_mass(n):
     net, table, bank, q0 = make_system(n, seed=n)
     sim = DensitySim(net, table, bank, q0)
-    total0 = sim.total
+    total0 = sim.q.sum()
     sim.run(10_000)
-    assert abs(sim.total - total0) <= 1e-9 * total0
+    assert abs(sim.q.sum() - total0) <= 1e-9 * total0
     assert np.all(sim.q >= 0)
 
 
@@ -165,9 +171,9 @@ def test_conservation_with_short_links():
     # rate saturates at min(Q/L, Q) = Q for L < 1; mass must still balance
     net, table, bank, q0 = make_system(3, seed=9, link_length=0.25)
     sim = DensitySim(net, table, bank, q0)
-    total0 = sim.total
+    total0 = sim.q.sum()
     sim.run(2_000)
-    assert abs(sim.total - total0) <= 1e-9 * total0
+    assert abs(sim.q.sum() - total0) <= 1e-9 * total0
 
 
 # --- hand-worked example -----------------------------------------------------
@@ -322,3 +328,81 @@ def test_non_finite_input_is_refused_before_the_first_step(monkeypatch):
         sim.run(40, np.r_[np.zeros(39), np.inf])
     assert steps == [] and sim.t == 0
     assert sim.q.tobytes() == q0.tobytes()
+
+
+# --- disjoint unions of blocks vs solo runs ----------------------------------
+
+def random_block(rng, n, mode, with_input):
+    """Network (some links shorter than 1), turn table, phase bank
+    (per-junction tau and stop convention, input weights if asked) and
+    contents of one random block."""
+    n_links = 4 * n * (n - 1)
+    net = build_lattice(n, rng.uniform(0.2, 3.0, n_links))
+    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+    nj = net.n_junctions
+    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
+                     mode=mode,
+                     win=rng.uniform(-0.5, 0.5, nj) if with_input else None,
+                     ns_stop_first=rng.uniform(size=nj) < 0.5)
+    return net, table, bank, init_density(net, float(n_links), rng)
+
+
+def block_sims(blocks):
+    return [DensitySim(net, table, bank.copy(), q0)
+            for net, table, bank, q0 in blocks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(2, 4),
+       mode=st.sampled_from([MODE_CONSTANT_RATE, MODE_LITERAL]),
+       with_input=st.booleans(), lean=st.booleans())
+def test_density_union_blocks_match_their_solo_runs(seed, k, n, mode,
+                                                    with_input, lean):
+    rng = np.random.default_rng(seed)
+    blocks = [random_block(rng, n, mode, with_input) for _ in range(k)]
+    steps = 60
+    inputs = rng.normal(size=steps) if with_input else None
+    n_links = 4 * n * (n - 1)
+    links = rng.choice(n_links, rng.integers(0, 4), replace=False) \
+        if lean else None
+    solo = block_sims(blocks)
+    solo_trajs = [sim.run(steps, inputs, links) for sim in solo]
+    union = DensitySim.union(block_sims(blocks))
+    trajs = union.split(union.run(steps, inputs, links))
+    assert union.blocks == len(trajs) == k
+    nj = n * n
+    for b, (sim, ref, got) in enumerate(zip(solo, solo_trajs, trajs)):
+        for name in ("u", "theta", "k"):
+            g, want = getattr(got, name), getattr(ref, name)
+            assert g.flags.c_contiguous and g.shape == want.shape, name
+            assert g.tobytes() == want.tobytes(), name
+        if lean:
+            assert np.array_equal(got.links, ref.links)
+        else:
+            assert got.links is None
+        # block b holds links [b * n_links, (b + 1) * n_links) of the union
+        mine = slice(b * n_links, (b + 1) * n_links)
+        assert union.q[mine].tobytes() == sim.q.tobytes()
+        junctions = slice(b * nj, (b + 1) * nj)
+        assert union.bank.theta[junctions].tobytes() == sim.bank.theta.tobytes()
+
+
+def test_density_union_split_runs_equal_one_run():
+    # run(a) then run(b) resumes the clock, the phases and the content
+    rng = np.random.default_rng(17)
+    blocks = [random_block(rng, 3, MODE_LITERAL, True) for _ in range(3)]
+    inputs = rng.normal(size=90)
+    whole = DensitySim.union(block_sims(blocks))
+    parts = DensitySim.union(block_sims(blocks))
+    ref = whole.run(90, inputs, links=[4, 1])
+    got = [parts.run(a, inputs, links=[4, 1]) for a in (37, 0, 53)]
+    assert [g.t0 for g in got] == [0, 37, 37]
+    for name in ("u", "theta", "k"):
+        joined = np.concatenate([getattr(g, name) for g in got])
+        assert joined.tobytes() == getattr(ref, name).tobytes(), name
+    assert parts.q.tobytes() == whole.q.tobytes()
+    assert parts.bank.theta.tobytes() == whole.bank.theta.tobytes()
+    ahead = block_sims(blocks[:1])[0]
+    ahead.run(1)
+    with pytest.raises(ValueError, match="time"):
+        DensitySim.union(block_sims(blocks[1:]) + [ahead])

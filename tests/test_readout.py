@@ -1,4 +1,4 @@
-"""Feature assembly, ridge regression, scoring, weight persistence."""
+"""Feature assembly, ridge regression, scoring."""
 
 import math
 
@@ -6,8 +6,29 @@ import numpy as np
 import pytest
 
 from trafficrc.readout import (TAG_A, TAG_A_PRIME, TAG_B, FeatureDef,
-                               assemble_features, assemble_matrix, log_nrmse,
-                               load_weights, predict, ridge_fit, save_weights)
+                               assemble_matrix, log_nrmse, predict, ridge_fit)
+
+
+def assemble_features(fdef, x1, x2, u=None, k_hist=None):
+    """Reference: one feature column from full per-junction observable
+    vectors, the scalar delayed input u and per-link densities k_hist."""
+    parts = [np.ones(1)]
+    if fdef.tag in (TAG_A, TAG_A_PRIME):
+        parts.append(np.atleast_1d(float(u)))
+    parts.append(np.asarray(x1, dtype=float)[fdef.mask])
+    parts.append(np.asarray(x2, dtype=float)[fdef.mask])
+    if fdef.tag == TAG_A_PRIME:
+        parts.append(np.asarray(k_hist, dtype=float)[fdef.roads])
+    return np.concatenate(parts)
+
+
+def one_column(fdef, x1, x2, u=None, k_hist=None):
+    """assemble_matrix over a single step of the masked observables."""
+    return assemble_matrix(
+        fdef, np.asarray(x1, dtype=float)[None, fdef.mask],
+        np.asarray(x2, dtype=float)[None, fdef.mask],
+        u=None if u is None else np.array([u]),
+        k_hist=None if k_hist is None else np.asarray(k_hist)[None])[:, 0]
 
 
 # --- feature assembly --------------------------------------------------------
@@ -16,32 +37,30 @@ def test_single_column_layout():
     fdef = FeatureDef(TAG_A, mask=[1], horizon=5)
     x1 = np.array([9.0, 3.0, 9.0])
     x2 = np.array([9.0, 0.0, 9.0])
-    col = assemble_features(fdef, x1, x2, u=7.0)
+    col = one_column(fdef, x1, x2, u=7.0)
     assert col.tolist() == [1.0, 7.0, 3.0, 0.0]
     assert fdef.dim == 4
-    assert fdef.column_names() == ["bias", "u", "x1_1", "x2_1"]
 
 
 def test_reservoir_only_dimension():
     fdef = FeatureDef(TAG_B, mask=np.arange(25))
     assert fdef.dim == 51
     with pytest.raises(ValueError):
-        assemble_features(fdef, np.zeros(25), np.zeros(25), u=1.0)
+        one_column(fdef, np.zeros(25), np.zeros(25), u=1.0)
     with pytest.raises(ValueError):
-        assemble_features(FeatureDef(TAG_A, mask=[0]), np.zeros(25), np.zeros(25))
+        one_column(FeatureDef(TAG_A, mask=[0]), np.zeros(25), np.zeros(25))
 
 
 def test_lagged_road_columns():
     fdef = FeatureDef(TAG_A_PRIME, mask=[0, 2], roads=[5, 1], horizon=3)
     assert fdef.dim == 1 + 1 + 4 + 2
     k_hist = np.arange(8.0)
-    col = assemble_features(fdef, np.zeros(4), np.zeros(4), u=0.5,
-                            k_hist=k_hist)
+    col = one_column(fdef, np.zeros(4), np.zeros(4), u=0.5, k_hist=k_hist)
     assert col[-2:].tolist() == [5.0, 1.0]
     with pytest.raises(ValueError):
         FeatureDef(TAG_A_PRIME, mask=[0])  # roads required
     with pytest.raises(ValueError):
-        assemble_features(fdef, np.zeros(4), np.zeros(4), u=0.5)
+        one_column(fdef, np.zeros(4), np.zeros(4), u=0.5)
 
 
 def test_matrix_assembly_matches_stacked_columns():
@@ -189,26 +208,3 @@ def test_log_nrmse_rejections():
     with pytest.raises(ValueError):
         log_nrmse(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
 
-
-# --- persistence -------------------------------------------------------------
-
-def test_weights_round_trip_exactly(tmp_path):
-    rng = np.random.default_rng(7)
-    fdef = FeatureDef(TAG_A, mask=[0, 2], horizon=5)
-    x = rng.standard_normal((fdef.dim, 80))
-    y = rng.standard_normal(80)
-    model = ridge_fit(x, y, 1e-8, fdef)
-    path = tmp_path / "w.csv"
-    save_weights(path, model)
-    header = path.read_text().splitlines()[0]
-    assert header == "bias,u,x1_0,x1_2,x2_0,x2_2"
-    loaded = load_weights(path)
-    assert np.array_equal(loaded.weights, model.weights)
-    assert predict(loaded, x) == pytest.approx(predict(model, x), rel=0)
-
-
-def test_load_weights_rejects_empty(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("bias,u\n")
-    with pytest.raises(ValueError):
-        load_weights(path)

@@ -111,9 +111,9 @@ _SMALL_AGENTS = dict(model="agents", task="density_link", n=2, T=2, M=3,
 _SMALL_SERIES = dict(model="density", task="external_series", n=3, T=2,
                      washout=20, train=150, test=60, trials=3, seed=9)
 _SMALL = {"density": _SMALL_DENSITY, "agents": _SMALL_AGENTS, "series": _SMALL_SERIES}
-# simulations per trial loop: both agents trials (8 links) share one union,
-# density trials run one at a time
-_RUNS = {"density": 3, "agents": 1, "series": 3}
+# simulations per trial loop: both agents trials (8 links) share one union;
+# the three n=3 density trials (24 links each) run as a pair and a single
+_RUNS = {"density": 2, "agents": 1, "series": 2}
 
 
 def test_density_task_shapes_and_determinism():
@@ -376,7 +376,7 @@ def test_task2_horizon_sweep_simulates_each_value(sim_runs):
     cfg = config_from_dict(dict(_SMALL_SERIES))
     sweep(cfg, "T", [1, 4])
     span = cfg.washout + cfg.train + cfg.test
-    assert sim_runs == [span + 1, span + 4] * cfg.trials
+    assert sim_runs == [span + 1, span + 4] * _RUNS["series"]
 
 
 def test_agents_batches_match_solo_trials_with_a_partial_last_batch(
