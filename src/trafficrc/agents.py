@@ -96,19 +96,17 @@ class AgentState:
 
 
 class _TurnSampler:
-    """Inverse-CDF turn draws from a TurnTable (one uniform per draw)."""
+    """Inverse-CDF turn draws from a TurnTable's rows (one uniform per draw)."""
 
     def __init__(self, table):
-        self.idx = table.idx
-        self.cnt = table.cnt
-        self.cum = np.cumsum(table.wgt, axis=1)
+        rows = [table.row(l) for l in range(table.n_links)]
+        self.to = [to for to, _ in rows]
+        self.cum = [np.cumsum(w) for _, w in rows]
 
     def draw(self, link, rng):
-        c = int(self.cnt[link])
-        k = int(np.searchsorted(self.cum[link, :c], rng.random(), side="right"))
-        if k >= c:
-            k = c - 1
-        return int(self.idx[link, k])
+        cum = self.cum[link]
+        k = int(np.searchsorted(cum, rng.random(), side="right"))
+        return int(self.to[link][min(k, cum.size - 1)])
 
 
 def init_agents(net, table, rng, per_link=10, params=None):

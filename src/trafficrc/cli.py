@@ -88,7 +88,7 @@ def _cmd_task(args, command):
 
 def _cmd_sweep(args):
     cfg = _load_cfg(args)
-    values = [float(v) for v in args.values.replace(",", " ").split()]
+    values = args.values.replace(",", " ").split()
     result = tasks.sweep(cfg, args.param, values)
     out = _out_dir(args, "sweep")
     _io.emit_sweep_results(out, f"sweep:{args.param}", cfg, result)

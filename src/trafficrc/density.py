@@ -163,10 +163,9 @@ class _Reservoir:
             np.concatenate([s.net.length for s in sims]),
             np.concatenate([s.net.link_axis_ns for s in sims]))
         table = TurnTable(
-            np.concatenate([np.where(s.table.idx >= 0, s.table.idx + o, -1)
-                            for s, o in zip(sims, lo)]),
-            np.concatenate([s.table.wgt for s in sims]),
-            np.concatenate([s.table.cnt for s in sims]))
+            np.concatenate([s.table.src + o for s, o in zip(sims, lo)]),
+            np.concatenate([s.table.to + o for s, o in zip(sims, lo)]),
+            np.concatenate([s.table.wgt for s in sims]), lo[-1])
         sim = cls._joined(sims, net, table,
                           PhaseBank.concat([s.bank for s in sims]), lo)
         sim.t = first.t
@@ -238,11 +237,6 @@ class DensitySim(_Reservoir):
         self.q = q0.copy()
         self._inv_len = 1.0 / net.length
         self._rate = np.minimum(self._inv_len, 1.0)  # outflow <= content
-        # turn table flattened to one (src, to, wgt) entry per turn
-        valid = table.idx >= 0
-        self._src = np.repeat(np.arange(net.n_links), table.cnt)
-        self._to = table.idx[valid]
-        self._wgt = table.wgt[valid]
 
     @classmethod
     def _joined(cls, sims, net, table, bank, lo):
@@ -252,7 +246,7 @@ class DensitySim(_Reservoir):
         """Advance one step under the per-link gate go; returns the link
         densities Q/L taken before movement."""
         dens = self.q * self._inv_len
-        self.q = kernels.density_step(self.q, self._rate, go, self._src,
-                                      self._to, self._wgt)
+        t = self.table
+        self.q = kernels.density_step(self.q, self._rate, go, t.src, t.to, t.wgt)
         self.t += 1
         return dens

@@ -489,13 +489,14 @@ def emit_sweep_results(out_dir, command, cfg, sweep, notes=None):
             name = f"value_{vtag}_trial_{r.trial:03d}_series.csv"
             _trial_series_csv(os.path.join(out_dir, name), r)
             outputs.append(name)
-    xs = np.asarray([row["value"] for row in sweep.rows], dtype=float)
-    means = np.asarray([row["mean"] for row in sweep.rows], dtype=float)
-    errs = np.asarray([row["stderr"] for row in sweep.rows], dtype=float)
-    line_plot_svg(os.path.join(out_dir, "sweep.svg"), xs, {"mean": means},
-                  err={"mean": errs}, title=f"{command} over {sweep.param}",
-                  xlabel=sweep.param, ylabel="lognrmse", markers=True)
-    outputs.append("sweep.svg")
+    if sweep.rows:
+        xs = np.asarray([row["value"] for row in sweep.rows], dtype=float)
+        means = np.asarray([row["mean"] for row in sweep.rows], dtype=float)
+        errs = np.asarray([row["stderr"] for row in sweep.rows], dtype=float)
+        line_plot_svg(os.path.join(out_dir, "sweep.svg"), xs, {"mean": means},
+                      err={"mean": errs}, title=f"{command} over {sweep.param}",
+                      xlabel=sweep.param, ylabel="lognrmse", markers=True)
+        outputs.append("sweep.svg")
     outputs.append("manifest.json")
     return _manifest(out_dir, command, cfg.seed, cfg, outputs, notes)
 

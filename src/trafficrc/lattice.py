@@ -10,7 +10,7 @@ __all__ = [
     "N", "E", "S", "W", "DIR_NAMES",
     "Network", "TurnTable",
     "build_lattice", "assign_turn_table",
-    "save_network", "load_network",
+    "save_network",
 ]
 
 # Travel directions, clockwise from north; x grows east, y grows north.
@@ -40,23 +40,10 @@ class Network:
         self.link_dir = link_dir
         self.length = length
         self.n_links = int(link_from.size)
-        self.jx = np.arange(self.n_junctions, dtype=np.int64) % self.n
-        self.jy = np.arange(self.n_junctions, dtype=np.int64) // self.n
         # a link occupies the NS signal axis iff it travels north or south
         self.link_axis_ns = (link_dir == N) | (link_dir == S)
-
         self.out_by_dir = np.full((self.n_junctions, 4), -1, dtype=np.int64)
-        for l in range(self.n_links):
-            self.out_by_dir[link_from[l], link_dir[l]] = l
-        self.reverse = np.array(
-            [self.out_by_dir[link_to[l], (link_dir[l] + 2) % 4]
-             for l in range(self.n_links)],
-            dtype=np.int64,
-        )
-        self.in_links = [np.flatnonzero(link_to == j)
-                         for j in range(self.n_junctions)]
-        self.out_links = [np.flatnonzero(link_from == j)
-                          for j in range(self.n_junctions)]
+        self.out_by_dir[link_from, link_dir] = np.arange(self.n_links)
         self._index = {(int(link_from[l]), int(link_to[l])): l
                        for l in range(self.n_links)}
 
@@ -121,34 +108,28 @@ def build_lattice(n, link_length=1.0):
 class TurnTable:
     """Split weights from each incoming link onto outgoing links.
 
-    Row l holds the outgoing link ids (idx, padded with -1) and weights (wgt)
-    for traffic leaving link l at its destination junction; cnt[l] gives the
-    number of valid entries. Every row sums to 1.
+    One entry per turn: traffic leaving link src[e] at its destination
+    junction goes on to link to[e] with weight wgt[e]. Entries are grouped
+    by src ascending, and each link's weights sum to 1.
     """
 
-    def __init__(self, idx, wgt, cnt):
-        self.idx = idx
+    def __init__(self, src, to, wgt, n_links):
+        self.src = src
+        self.to = to
         self.wgt = wgt
-        self.cnt = cnt
-        self._matrix = None
-
-    @property
-    def n_links(self):
-        return int(self.idx.shape[0])
+        self.n_links = int(n_links)
+        self.start = src.searchsorted(np.arange(self.n_links + 1))
 
     def row(self, link):
-        c = self.cnt[link]
-        return self.idx[link, :c], self.wgt[link, :c]
+        """(outgoing link ids, weights) of one incoming link."""
+        rows = slice(self.start[link], self.start[link + 1])
+        return self.to[rows], self.wgt[rows]
 
     def matrix(self):
         """Dense redistribution matrix M with M[src, dst] = split weight."""
-        if self._matrix is None:
-            m = np.zeros((self.n_links, self.n_links))
-            for l in range(self.n_links):
-                ids, w = self.row(l)
-                m[l, ids] = w
-            self._matrix = m
-        return self._matrix
+        m = np.zeros((self.n_links, self.n_links))
+        m[self.src, self.to] = self.wgt
+        return m
 
 
 def assign_turn_table(net, w, rng=None, permute=True):
@@ -160,7 +141,8 @@ def assign_turn_table(net, w, rng=None, permute=True):
     permute=False the identity assignment is used. The reverse link (U-turn)
     gets weight 0 whenever any other outgoing link exists; weights of missing
     boundary directions are redistributed proportionally over the remaining
-    non-reverse links (equally, when those all carry weight 0).
+    non-reverse links (equally, when those all carry weight 0). Each link's
+    entries keep the (right, left, straight) order of the exits it has.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (3,):
@@ -173,7 +155,6 @@ def assign_turn_table(net, w, rng=None, permute=True):
     n_links = net.n_links
     idx = np.full((n_links, 3), -1, dtype=np.int64)
     wgt = np.zeros((n_links, 3))
-    cnt = np.zeros(n_links, dtype=np.int64)
     for l in range(n_links):
         j = net.link_to[l]
         d = net.link_dir[l]
@@ -182,28 +163,21 @@ def assign_turn_table(net, w, rng=None, permute=True):
         targets = net.out_by_dir[j, rel]
         have = targets >= 0
         k = int(have.sum())
-        if k == 0:
-            # dead end: only the reverse link remains (never on a lattice, n >= 2)
-            idx[l, 0] = net.reverse[l]
-            wgt[l, 0] = 1.0
-            cnt[l] = 1
-            continue
         present = assigned[have]
         s = float(present.sum())
         vals = present / s if s > 0 else np.full(k, 1.0 / k)
         vals = vals / vals.sum()
         idx[l, :k] = targets[have]
         wgt[l, :k] = vals
-        cnt[l] = k
-    return TurnTable(idx, wgt, cnt)
+    have = idx >= 0
+    return TurnTable(np.nonzero(have)[0], idx[have], wgt[have], n_links)
 
 
-def save_network(path, net, table=None):
-    """Write the network (and optionally its turn table) as JSON.
+def save_network(path, net):
+    """Write the network as JSON.
 
-    Schema: {"n": int, "links": [{"from", "to", "length"}],
-    "turns": [{"junction", "in", "out", "weight"}]} where "in"/"out" are
-    canonical link indices into the links array.
+    Schema: {"n": int, "links": [{"from", "to", "length"}]}, links in
+    canonical order.
     """
     data = {
         "n": net.n,
@@ -213,48 +187,6 @@ def save_network(path, net, table=None):
             for l in range(net.n_links)
         ],
     }
-    if table is not None:
-        turns = []
-        for l in range(net.n_links):
-            ids, wv = table.row(l)
-            for o, x in zip(ids, wv):
-                turns.append({"junction": int(net.link_to[l]), "in": int(l),
-                              "out": int(o), "weight": float(x)})
-        data["turns"] = turns
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
-
-
-def load_network(path):
-    """Read a network written by save_network. Returns (net, table or None)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    n = data["n"]
-    links = data["links"]
-    lengths = [entry["length"] for entry in links]
-    net = build_lattice(n, lengths if lengths else 1.0)
-    if len(links) != net.n_links:
-        raise ValueError(f"expected {net.n_links} links for n={n}, file has {len(links)}")
-    for l, entry in enumerate(links):
-        if entry["from"] != int(net.link_from[l]) or entry["to"] != int(net.link_to[l]):
-            raise ValueError(f"links[{l}] does not match canonical enumeration")
-    if "turns" not in data:
-        return net, None
-    idx = np.full((net.n_links, 3), -1, dtype=np.int64)
-    wgt = np.zeros((net.n_links, 3))
-    cnt = np.zeros(net.n_links, dtype=np.int64)
-    for entry in data["turns"]:
-        l = entry["in"]
-        if net.link_to[l] != entry["junction"]:
-            raise ValueError(f"turn entry for link {l} names the wrong junction")
-        c = cnt[l]
-        if c >= 3:
-            raise ValueError(f"more than 3 turn entries for link {l}")
-        idx[l, c] = entry["out"]
-        wgt[l, c] = entry["weight"]
-        cnt[l] = c + 1
-    sums = np.array([wgt[l, :cnt[l]].sum() for l in range(net.n_links)])
-    if net.n_links and np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError("turn rows must sum to 1")
-    return net, TurnTable(idx, wgt, cnt)

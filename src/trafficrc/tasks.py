@@ -204,16 +204,15 @@ def _batches(cfg):
             for b in range(0, cfg.trials, size)]
 
 
-def _simulate(cfg, trials, steps, inputs=None, links=None):
-    """Build the trials' reservoirs from their rng streams and run them
-    `steps` steps.
+def _simulate(cfg, net, trials, steps, inputs=None, links=None):
+    """Build the trials' reservoirs on the lattice net from their rng
+    streams and run them `steps` steps.
 
     The readout fields (p, M, beta) play no part. inputs[t], if given, is
     injected at step t through each trial's input weights. A run stores the
     densities of `links` only (None: every link). The trials run as the
-    blocks of one union sim. Returns one (net, traj) per trial, in order.
+    blocks of one union sim. Returns one trajectory per trial, in order.
     """
-    net = build_lattice(cfg.n, cfg.link_length)
     sims = []
     for trial in trials:
         table = assign_turn_table(net, cfg.turn_weights,
@@ -233,8 +232,7 @@ def _simulate(cfg, trials, steps, inputs=None, links=None):
                               how=cfg.init)
             sims.append(DensitySim(net, table, bank, q0))
     sim = type(sims[0]).union(sims)
-    runs = sim.split(sim.run(steps, inputs=inputs, links=links))
-    return [(net, traj) for traj in runs]
+    return sim.split(sim.run(steps, inputs=inputs, links=links))
 
 
 def _features(fdef, traj, rows, u=None, k_hist=None):
@@ -307,8 +305,8 @@ def _series_values(cfg, series, steps):
     return values[:steps]
 
 
-def _plan(cfg, series=None):
-    """Check cfg against its task before any simulation.
+def _plan(cfg, net, series=None):
+    """Check cfg against its task, on its lattice net, before any simulation.
 
     Returns (inputs, links, readout): the external drive of every trial
     (None on the density_link task), the links whose densities the readout
@@ -342,7 +340,6 @@ def _plan(cfg, series=None):
         if cfg.M == cfg.n_links:
             return None, None, None
         return None, None, functools.partial(_read_agents, cfg)
-    net = build_lattice(cfg.n)
     if cfg.target_link is None:
         target = default_target_link(net)
     else:
@@ -361,13 +358,14 @@ def run_experiment(cfg, series=None):
     after loading is checked as it runs.
     """
     _io.validate_config(cfg)
-    inputs, links, readout = _plan(cfg, series)
+    net = build_lattice(cfg.n, cfg.link_length)
+    inputs, links, readout = _plan(cfg, net, series)
     if readout is None:
         return []
     steps = _span(cfg)[0]
     return [readout(trial, net, traj) for batch in _batches(cfg)
-            for trial, (net, traj) in zip(batch, _simulate(cfg, batch, steps,
-                                                           inputs, links))]
+            for trial, traj in zip(batch, _simulate(cfg, net, batch, steps,
+                                                    inputs, links))]
 
 
 def run_task1_density(cfg):
@@ -418,7 +416,11 @@ _READOUT_PARAMS = ("p", "M", "beta")
 
 def _sweep_value(param, raw):
     """M and T must be integral (3, "3" and 8.0 pass); the rest become floats."""
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise _io.ConfigError(
+            f"config key {param!r}: sweep value {raw!r} is not a number") from None
     if param not in ("M", "T"):
         return value
     if not value.is_integer():
@@ -430,10 +432,11 @@ def _sweep_value(param, raw):
 def sweep(cfg, param, values, series=None):
     """Run the configured experiment for each parameter value.
 
-    The base seed is reused, so trials stay paired across values. Every
-    value is checked before the first simulation. Each trial is simulated
-    once per distinct reservoir run and every value sharing that run is read
-    out of it: p, M and beta never change the run, and on the density_link
+    The base seed is reused, so trials stay paired across values, and every
+    value runs on one lattice: no sweep parameter changes it. Every value is
+    checked before the first simulation. Each trial is simulated once per
+    distinct reservoir run and every value sharing that run is read out of
+    it: p, M and beta never change the run, and on the density_link
     task a larger T only lengthens it, so the longest span serves every T.
     Batches of trials (see _batches) run outermost, so one batch is alive
     at a time.
@@ -441,6 +444,9 @@ def sweep(cfg, param, values, series=None):
     if param not in _SWEEP_PARAMS:
         raise _io.ConfigError(
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMS)}")
+    if not values:
+        raise _io.ConfigError(f"config key {param!r}: no sweep values given")
+    net = build_lattice(cfg.n, cfg.link_length)
     order, plans = [], {}
     for raw in values:
         cfg_v = dataclasses.replace(cfg, **{param: _sweep_value(param, raw)})
@@ -448,7 +454,7 @@ def sweep(cfg, param, values, series=None):
         value = getattr(cfg_v, param)
         order.append(value)
         if value not in plans:
-            plans[value] = (cfg_v, *_plan(cfg_v, series))
+            plans[value] = (cfg_v, *_plan(cfg_v, net, series))
     live = [v for v, plan in plans.items() if plan[3] is not None]
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
     groups = ([live] if live else []) if shared else [[v] for v in live]
@@ -457,17 +463,21 @@ def sweep(cfg, param, values, series=None):
         for group in groups:
             cfg_v, inputs, links, _ = plans[group[0]]
             steps = max(_span(plans[v][0])[0] for v in group)
-            runs = _simulate(cfg_v, batch, steps, inputs, links)
-            for trial, (net, traj) in zip(batch, runs):
+            runs = _simulate(cfg_v, net, batch, steps, inputs, links)
+            for trial, traj in zip(batch, runs):
                 for v in group:
                     by_value[v].append(plans[v][3](trial, net, traj))
-            del runs, net, traj
+            del runs, traj
     rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
     return SweepResult(param, tuple(by_value), by_value, rows)
 
 
 def run_simulation(cfg, steps=None):
     """Run the configured model once (trial 0 streams) and return (net, trajectory)."""
+    if cfg.model == "density" and cfg.n < 2:
+        raise _io.ConfigError(
+            "config key 'n': the density model needs a lattice with n >= 2")
     if steps is None:
         steps = cfg.steps if cfg.steps is not None else _span(cfg)[0]
-    return _simulate(cfg, [0], steps)[0]
+    net = build_lattice(cfg.n, cfg.link_length)
+    return net, _simulate(cfg, net, [0], steps)[0]

@@ -388,6 +388,42 @@ def test_cli_sweep(tmp_path):
     assert (out / "value_0p5_trial_000_series.csv").exists()
 
 
+def test_cli_sweep_with_every_road_monitored_writes_no_plot(tmp_path):
+    # the 3x3 grid has 24 roads, so M=24 leaves none to predict
+    cfg = _write_cfg(tmp_path, model="agents")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--param", "M", "--values", "24",
+                 "--out", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines() == [
+        "param,value,trial,seed,lognrmse,lag"]
+    assert (out / "summary.csv").read_text().splitlines() == [
+        "param,value,mean,stderr,trials"]
+    assert not (out / "sweep.svg").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "sweep.svg" not in manifest["outputs"]
+
+
+@pytest.mark.parametrize("param,values,error", [
+    ("p", "", "config key 'p': no sweep values given"),
+    ("p", "abc", "config key 'p': sweep value 'abc' is not a number"),
+    ("T", "2,x", "config key 'T': sweep value 'x' is not a number"),
+    ("T", "2.5", "config key 'T': sweep value '2.5' is not an integer"),
+])
+def test_cli_sweep_refuses_bad_values(tmp_path, capsys, param, values, error):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--param", param, "--values", values,
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_single_junction_density_lattice(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, n=1)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert "config key 'n'" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_cli_synth(tmp_path):
     cfg = _write_cfg(tmp_path, series_synth={"length": 50})
     out = tmp_path / "sy"

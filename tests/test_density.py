@@ -67,16 +67,9 @@ def density_oracle(q, inv_len, go, table, net):
     return q_new, u
 
 
-def scatter_args(net, table):
-    """The flattened turn table (src, to, wgt) that DensitySim builds."""
-    valid = table.idx >= 0
-    src = np.repeat(np.arange(net.n_links), table.cnt)
-    return src, table.idx[valid], table.wgt[valid]
-
-
 def step(q, go, net, table):
     rate = np.minimum(1.0 / net.length, 1.0)
-    return kernels.density_step(q, rate, go, *scatter_args(net, table))
+    return kernels.density_step(q, rate, go, table.src, table.to, table.wgt)
 
 
 def first_inflows(q, net, table):

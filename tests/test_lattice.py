@@ -1,10 +1,12 @@
 """Lattice construction, turn tables, and network serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from trafficrc.lattice import (E, N, S, W, assign_turn_table,
-                               build_lattice, load_network, save_network)
+                               build_lattice, save_network)
 
 
 def enumerate_links_oracle(n):
@@ -46,19 +48,10 @@ def test_junction_and_link_lookup():
         net.junction_id(3, 0)
 
 
-def test_reverse_links_pair_up():
-    net = build_lattice(4)
-    rev = net.reverse
-    assert np.all(rev >= 0)
-    assert np.all(rev[rev] == np.arange(net.n_links))
-    assert np.all(net.link_from[rev] == net.link_to)
-    assert np.all(net.link_to[rev] == net.link_from)
-
-
 def test_incoming_links_ride_their_travel_axis():
     net = build_lattice(3)
     j = net.junction_id(1, 1)
-    ins = net.in_links[j]
+    ins = np.flatnonzero(net.link_to == j)
     # the centre junction has one incoming link from each side, two per axis
     assert sorted(net.link_dir[ins].tolist()) == [N, E, S, W]
     assert np.array_equal(net.link_axis_ns[ins],
@@ -103,8 +96,8 @@ def test_turn_rows_sum_to_one_and_target_outgoing_links():
         ids, w = table.row(l)
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0)
-        dst = net.link_to[l]
-        assert set(int(i) for i in ids) <= set(int(i) for i in net.out_links[dst])
+        outs = np.flatnonzero(net.link_from == net.link_to[l])
+        assert set(ids.tolist()) <= set(outs.tolist())
 
 
 def test_interior_row_is_permutation_of_weights_without_uturn():
@@ -113,9 +106,9 @@ def test_interior_row_is_permutation_of_weights_without_uturn():
     w = (0.2, 0.3, 0.5)
     table = assign_turn_table(net, w, rng)
     center = net.junction_id(2, 2)
-    for l in net.in_links[center]:
-        ids, vals = table.row(int(l))
-        assert net.reverse[l] not in ids
+    for l in np.flatnonzero(net.link_to == center):
+        ids, vals = table.row(l)
+        assert net.link_index(center, net.link_from[l]) not in ids
         assert sorted(vals) == pytest.approx(sorted(w), abs=1e-15)
 
 
@@ -124,10 +117,11 @@ def test_corner_inflow_gets_full_weight_on_single_exit():
     rng = np.random.default_rng(5)
     table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
     corner = net.junction_id(0, 0)
-    for l in net.in_links[corner]:
-        ids, vals = table.row(int(l))
-        assert list(ids) == [int(i) for i in net.out_links[corner]
-                             if i != net.reverse[l]]
+    for l in np.flatnonzero(net.link_to == corner):
+        ids, vals = table.row(l)
+        outs = np.flatnonzero(net.link_from == corner)
+        uturn = net.link_index(corner, net.link_from[l])
+        assert ids.tolist() == [i for i in outs.tolist() if i != uturn]
         assert vals.tolist() == [1.0]
 
 
@@ -186,6 +180,25 @@ def test_dense_matrix_is_row_stochastic_and_matches_rows():
         assert m[l].sum() == pytest.approx(vals.sum())
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_turn_table_is_one_entry_list_grouped_by_source(n):
+    net = build_lattice(n)
+    table = assign_turn_table(net, (0.2, 0.3, 0.5), np.random.default_rng(n))
+    assert table.n_links == net.n_links
+    assert np.all(np.diff(table.src) >= 0)
+    assert np.array_equal(np.unique(table.src), np.arange(net.n_links))
+    m = table.matrix()
+    for l in range(net.n_links):
+        hit = np.flatnonzero(table.src == l)
+        ids, vals = table.row(l)
+        assert np.array_equal(ids, table.to[hit])
+        assert np.array_equal(vals, table.wgt[hit])
+        assert abs(vals.sum() - 1.0) <= 1e-12
+        want = np.zeros(net.n_links)
+        want[ids] = vals
+        assert np.array_equal(m[l], want)
+
+
 def test_turn_table_requires_rng_and_valid_weights():
     net = build_lattice(3)
     with pytest.raises(ValueError):
@@ -201,42 +214,15 @@ def test_turn_table_requires_rng_and_valid_weights():
 
 # --- serialization -----------------------------------------------------------
 
-def test_network_round_trip(tmp_path):
-    net = build_lattice(3, np.linspace(1.0, 2.0, 24))
-    rng = np.random.default_rng(21)
-    table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
-    path = tmp_path / "net.json"
-    save_network(path, net, table)
-    net2, table2 = load_network(path)
-    assert net2.n == net.n
-    assert np.array_equal(net2.link_from, net.link_from)
-    assert np.array_equal(net2.link_to, net.link_to)
-    assert np.array_equal(net2.length, net.length)
-    for l in range(net.n_links):
-        ids, vals = table.row(l)
-        ids2, vals2 = table2.row(l)
-        assert np.array_equal(ids, ids2)
-        assert vals2 == pytest.approx(vals, abs=1e-15)
-
-
-def test_network_round_trip_without_table(tmp_path):
-    net = build_lattice(2)
+def test_network_json_lists_canonical_links_and_no_turns(tmp_path):
+    lengths = np.linspace(1.0, 2.0, 24)
+    net = build_lattice(3, lengths)
     path = tmp_path / "net.json"
     save_network(path, net)
-    net2, table2 = load_network(path)
-    assert table2 is None
-    assert np.array_equal(net2.link_to, net.link_to)
-
-
-def test_load_rejects_bad_row_sums(tmp_path):
-    net = build_lattice(2)
-    rng = np.random.default_rng(2)
-    table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
-    path = tmp_path / "net.json"
-    save_network(path, net, table)
-    import json
-    data = json.loads(path.read_text())
-    data["turns"][0]["weight"] += 0.5
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
-        load_network(path)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert set(data) == {"n", "links"}
+    assert data["n"] == 3
+    assert [(e["from"], e["to"]) for e in data["links"]] == list(
+        zip(net.link_from.tolist(), net.link_to.tolist()))
+    assert [e["length"] for e in data["links"]] == lengths.tolist()

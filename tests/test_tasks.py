@@ -436,14 +436,15 @@ def test_prediction_on_a_single_junction_is_refused(sim_runs, kind):
 @pytest.mark.parametrize("kind", ["density", "agents", "series"])
 def test_lean_trajectories_read_out_as_full_ones(kind):
     cfg = config_from_dict(dict(_SMALL[kind]))
-    inputs, links, readout = tasks._plan(cfg)
+    net = build_lattice(cfg.n, cfg.link_length)
+    inputs, links, readout = tasks._plan(cfg, net)
     expect = {"density": 1, "agents": None, "series": 0}[kind]
     assert (links if links is None else len(links)) == expect
     steps = tasks._span(cfg)[0]
     trials = range(cfg.trials)
-    lean = tasks._simulate(cfg, trials, steps, inputs, links)
-    full = tasks._simulate(cfg, trials, steps, inputs)
-    for trial, (net, lt), (_, ft) in zip(trials, lean, full):
+    lean = tasks._simulate(cfg, net, trials, steps, inputs, links)
+    full = tasks._simulate(cfg, net, trials, steps, inputs)
+    for trial, lt, ft in zip(trials, lean, full):
         assert lt.u.tobytes() == ft.u.tobytes()
         assert lt.theta.tobytes() == ft.theta.tobytes()
         _assert_same_trials([readout(trial, net, lt)],
