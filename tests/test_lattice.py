@@ -214,15 +214,28 @@ def test_turn_table_requires_rng_and_valid_weights():
 
 # --- serialization -----------------------------------------------------------
 
-def test_network_json_lists_canonical_links_and_no_turns(tmp_path):
+def test_network_round_trip(tmp_path):
     lengths = np.linspace(1.0, 2.0, 24)
     net = build_lattice(3, lengths)
     path = tmp_path / "net.json"
     save_network(path, net)
     with open(path) as fh:
         data = json.load(fh)
-    assert set(data) == {"n", "links"}
     assert data["n"] == 3
     assert [(e["from"], e["to"]) for e in data["links"]] == list(
         zip(net.link_from.tolist(), net.link_to.tolist()))
     assert [e["length"] for e in data["links"]] == lengths.tolist()
+    net2 = build_lattice(data["n"], [e["length"] for e in data["links"]])
+    assert np.array_equal(net2.link_from, net.link_from)
+    assert np.array_equal(net2.link_to, net.link_to)
+    assert np.array_equal(net2.length, net.length)
+
+
+def test_network_round_trip_without_table(tmp_path):
+    net = build_lattice(2)
+    path = tmp_path / "net.json"
+    save_network(path, net)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert set(data) == {"n", "links"}
+    assert [e["to"] for e in data["links"]] == net.link_to.tolist()
