@@ -20,8 +20,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io as _io
 from . import tasks
 from .lattice import save_network
@@ -98,19 +96,12 @@ def _cmd_sweep(args):
 
 def _cmd_synth(args):
     cfg = _load_cfg(args)
-    sp = cfg.series_synth
-    length = sp.length
-    if length is None:
-        length = cfg.washout + cfg.T + cfg.train + cfg.test
-    rng = np.random.default_rng((cfg.seed, tasks.STREAM_SERIES))
-    values = _io.synth_series(sp.kind, length, rng, amplitude=sp.amplitude,
-                              offset=sp.offset, period=sp.period, rho=sp.rho,
-                              sigma=sp.sigma)
+    values = tasks._synth_series(cfg)
     out = _out_dir(args, "synth")
     os.makedirs(out, exist_ok=True)
     _io.write_series_csv(os.path.join(out, "series.csv"), values)
     _io._manifest(out, "synth", cfg.seed, cfg, ["series.csv", "manifest.json"],
-                  notes={"length": int(length)})
+                  notes={"length": values.size})
     print(out)
     return 0
 

@@ -15,7 +15,7 @@ from .agents import OVParams
 
 __all__ = [
     "VERSION", "OUT_ENV", "ConfigError", "ExperimentConfig", "load_config",
-    "config_to_dict", "Series", "read_series_csv", "synth_series", "SynthSpec",
+    "config_to_dict", "read_series_csv", "synth_series", "SynthSpec",
     "emit_run_results", "emit_sweep_results", "line_plot_svg",
 ]
 
@@ -193,7 +193,8 @@ def validate_config(cfg):
     _require(_is_int(cfg.test) and cfg.test >= 2, "test", "must be >= 2")
     _require(_is_int(cfg.washout) and cfg.washout >= 0, "washout", "must be >= 0")
     _require(_is_int(cfg.trials) and cfg.trials >= 1, "trials", "must be >= 1")
-    _require(_is_int(cfg.seed), "seed", "must be an integer")
+    _require(_is_int(cfg.seed) and cfg.seed >= 0, "seed",
+             "must be a nonnegative integer")
     if cfg.target_link is not None:
         tl = cfg.target_link
         _require(isinstance(tl, tuple) and len(tl) == 2 and all(_is_int(v) for v in tl),
@@ -280,13 +281,6 @@ def config_to_dict(cfg):
 
 # --- external series ---------------------------------------------------------
 
-@dataclass
-class Series:
-    """External input series; step_seconds records a uniform timestamp spacing."""
-    values: np.ndarray
-    step_seconds: float | None = None
-
-
 def _parse_timestamp(text):
     try:
         return float(text)
@@ -301,9 +295,9 @@ def _parse_timestamp(text):
 def read_series_csv(path):
     """Read a 1-column (value) or 2-column (timestamp, value) series CSV.
 
-    Timestamps must increase; a uniform spacing is recorded as step_seconds
-    (ISO timestamps in seconds, e.g. 15-minute data gives 900.0). Errors cite
-    1-based row numbers. NaN or infinite values are rejected.
+    Timestamps (numbers or ISO dates) must increase; only the values are
+    returned. Errors cite 1-based row numbers. NaN or infinite values are
+    rejected.
     """
     with open(path) as fh:
         raw = [ln.strip() for ln in fh]
@@ -344,7 +338,6 @@ def read_series_csv(path):
         values.append(val)
     if not values:
         raise ValueError(f"{path}: no data rows")
-    step = None
     if times[0] is not None:
         if any(t is None for t in times):
             raise ValueError(f"{path}: mixed timestamped and bare rows")
@@ -352,11 +345,7 @@ def read_series_csv(path):
             if times[i] <= times[i - 1]:
                 raise ValueError(
                     f"{path}: row {rows[start + i][0]}: timestamps must increase")
-        if len(times) > 1:
-            deltas = np.diff(np.asarray(times))
-            if np.all(np.abs(deltas - deltas[0]) <= 1e-9 * max(abs(deltas[0]), 1.0)):
-                step = float(deltas[0])
-    return Series(values=np.asarray(values, dtype=float), step_seconds=step)
+    return np.asarray(values, dtype=float)
 
 
 def synth_series(kind, length, rng, amplitude=10.0, offset=20.0, period=96.0,

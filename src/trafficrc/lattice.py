@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 __all__ = [
-    "N", "E", "S", "W", "DIR_NAMES",
+    "N", "E", "S", "W",
     "Network", "TurnTable",
     "build_lattice", "assign_turn_table",
     "save_network",
@@ -17,7 +17,6 @@ __all__ = [
 N, E, S, W = 0, 1, 2, 3
 DX = (0, 1, 0, -1)
 DY = (1, 0, -1, 0)
-DIR_NAMES = ("N", "E", "S", "W")
 
 _WEIGHT_TOL = 1e-12
 
@@ -64,8 +63,8 @@ class Network:
 def build_lattice(n, link_length=1.0):
     """Build the n x n lattice with its 4n(n-1) directed links.
 
-    link_length may be a positive scalar, a sequence of per-link lengths in
-    canonical order, or a mapping {(from_id, to_id): length}.
+    link_length may be a positive scalar or a sequence of per-link lengths
+    in canonical order.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -84,15 +83,7 @@ def build_lattice(n, link_length=1.0):
     link_dir = np.asarray(dr, dtype=np.int64)
     n_links = link_from.size
 
-    if isinstance(link_length, dict):
-        try:
-            length = np.array(
-                [link_length[(int(a), int(b))] for a, b in zip(link_from, link_to)],
-                dtype=float,
-            )
-        except KeyError as exc:
-            raise ValueError(f"link_length mapping is missing link {exc}") from None
-    elif np.isscalar(link_length):
+    if np.isscalar(link_length):
         length = np.full(n_links, float(link_length))
     else:
         length = np.asarray(link_length, dtype=float)

@@ -28,13 +28,12 @@ class FeatureDef:
     tag "a_prime": tag "a" plus lagged link densities K(t-T) over `roads`.
 
     mask holds reservoir junction ids (feature order follows the mask order;
-    sorted ascending by convention), roads holds link ids for tag "a_prime",
-    horizon is the lag T the U/K columns are delayed by.
+    sorted ascending by convention), roads holds link ids for tag "a_prime".
+    The caller passes U and K already delayed.
     """
     tag: str
     mask: np.ndarray
     roads: np.ndarray | None = None
-    horizon: int = 0
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -46,17 +45,6 @@ class FeatureDef:
             if self.roads is None:
                 raise ValueError('tag "a_prime" requires a road subset')
             self.roads = np.asarray(self.roads, dtype=np.int64)
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-
-    @property
-    def dim(self):
-        d = 1 + 2 * self.mask.size
-        if self.tag in (TAG_A, TAG_A_PRIME):
-            d += 1
-        if self.tag == TAG_A_PRIME:
-            d += self.roads.size
-        return d
 
 
 def _check_u(fdef, u):
@@ -98,11 +86,9 @@ def assemble_matrix(fdef, x1, x2, u=None, k_hist=None):
 class ReadoutModel:
     """Trained linear readout: weights (outputs x features)."""
     weights: np.ndarray
-    beta: float
-    fdef: FeatureDef | None = None
 
 
-def ridge_fit(x, y, beta, fdef=None):
+def ridge_fit(x, y, beta):
     """Ridge regression W = Y X^T (X X^T + beta I)^(-1).
 
     x: features (dim, steps); y: targets (steps,) or (outputs, steps). The
@@ -128,7 +114,7 @@ def ridge_fit(x, y, beta, fdef=None):
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "normal equations are singular; use beta > 0") from exc
-    return ReadoutModel(weights=z.T, beta=beta, fdef=fdef)
+    return ReadoutModel(weights=z.T)
 
 
 def predict(model, x):

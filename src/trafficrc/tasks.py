@@ -38,8 +38,7 @@ __all__ = [
     "STREAM_TURNS", "STREAM_INIT", "STREAM_PHASE", "STREAM_MASK",
     "STREAM_INPUT", "STREAM_AGENTS", "STREAM_ROADS", "stream_rng",
     "TrialResult", "SweepResult", "select_reservoir_fraction",
-    "default_target_link", "lag_diagnostic", "run_task1_density",
-    "run_task1_agents", "run_task2_external", "run_experiment",
+    "default_target_link", "lag_diagnostic", "run_experiment",
     "average_prediction", "summarize", "sweep", "run_simulation",
 ]
 
@@ -160,11 +159,11 @@ def lag_diagnostic(y, y_hat, max_lag):
     return best
 
 
-def _score(cfg, trial, fdef, x, teacher):
+def _score(cfg, trial, x, teacher):
     """Fit on the training steps, score the test steps of teacher (1-d, or
     (outputs, steps)); the lag is taken on the first non-constant output."""
     tr = cfg.train
-    model = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta, fdef)
+    model = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta)
     pred = predict(model, x[:, tr:])
     test = teacher[..., tr:]
     score = log_nrmse(test, pred)
@@ -250,10 +249,10 @@ def _read_density(cfg, target, trial, net, traj):
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
         exclude=ends)
     y = traj.density(target)[:steps]
-    fdef = FeatureDef(TAG_A, mask, horizon=cfg.T)
+    fdef = FeatureDef(TAG_A, mask)
     x = _features(fdef, traj, slice(first, steps),
                   u=y[cfg.washout:steps - cfg.T])
-    return _score(cfg, trial, fdef, x, y[first:])
+    return _score(cfg, trial, x, y[first:])
 
 
 def _read_agents(cfg, trial, net, traj):
@@ -266,10 +265,10 @@ def _read_agents(cfg, trial, net, traj):
     mask = select_reservoir_fraction(
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     past = traj.k[cfg.washout:steps - cfg.T]
-    fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored, horizon=cfg.T)
+    fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored)
     x = _features(fdef, traj, slice(first, steps),
                   u=past[:, hidden].mean(axis=1), k_hist=past)
-    return _score(cfg, trial, fdef, x, traj.k[first:steps, hidden].T)
+    return _score(cfg, trial, x, traj.k[first:steps, hidden].T)
 
 
 def _read_series(cfg, y, z, trial, net, traj):
@@ -279,29 +278,34 @@ def _read_series(cfg, y, z, trial, net, traj):
     mask = select_reservoir_fraction(
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     with_u = cfg.task2_feature == "a"
-    fdef = FeatureDef(TAG_A if with_u else TAG_B, mask, horizon=cfg.T)
+    fdef = FeatureDef(TAG_A if with_u else TAG_B, mask)
     x = _features(fdef, traj, slice(first, steps),
                   u=z[cfg.washout:steps - cfg.T] if with_u else None)
-    return _score(cfg, trial, fdef, x, y[first:])
+    return _score(cfg, trial, x, y[first:])
+
+
+def _synth_series(cfg):
+    """The configured synthetic series: series_synth.length values, or the
+    experiment's span when no length is set. Every trial reads the same one."""
+    sp = cfg.series_synth
+    length = sp.length if sp.length is not None else _span(cfg)[0]
+    return _io.synth_series(sp.kind, length,
+                            np.random.default_rng((cfg.seed, STREAM_SERIES)),
+                            amplitude=sp.amplitude, offset=sp.offset,
+                            period=sp.period, rho=sp.rho, sigma=sp.sigma)
 
 
 def _series_values(cfg, series, steps):
-    if series is None and cfg.series_csv is not None:
-        series = _io.read_series_csv(cfg.series_csv)
-    if series is None:
-        sp = cfg.series_synth
-        length = sp.length if sp.length is not None else steps
-        values = _io.synth_series(sp.kind, length,
-                                  np.random.default_rng((cfg.seed, STREAM_SERIES)),
-                                  amplitude=sp.amplitude, offset=sp.offset,
-                                  period=sp.period, rho=sp.rho, sigma=sp.sigma)
-    elif isinstance(series, _io.Series):
-        values = series.values
+    """First `steps` values of `series`, else series_csv, else the synthetic one."""
+    if series is not None:
+        key, values = None, np.asarray(series, dtype=float)
+    elif cfg.series_csv is not None:
+        key, values = "series_csv", _io.read_series_csv(cfg.series_csv)
     else:
-        values = np.asarray(series, dtype=float)
+        key, values = "series_synth", _synth_series(cfg)
     if values.size < steps:
-        raise ValueError(
-            f"series holds {values.size} steps; the experiment needs {steps}")
+        msg = f"series holds {values.size} steps; the experiment needs {steps}"
+        raise _io.ConfigError(f"config key {key!r}: {msg}") if key else ValueError(msg)
     return values[:steps]
 
 
@@ -351,38 +355,41 @@ def _plan(cfg, net, series=None):
     return None, [target], functools.partial(_read_density, cfg, target)
 
 
+def _run(cfg, net, plans, shared):
+    """Simulate, then read out: every trial of cfg, for every plan.
+
+    plans maps a key to (cfg_k, inputs, links, readout) as _plan returns
+    them; the configs differ only in fields that keep the lattice and the
+    trials. With shared, every plan is read out of one run per trial, as long
+    as the longest span among them; otherwise each plan gets its own runs.
+    Plans without a readout run nothing. Batches of trials (see _batches) run
+    outermost, so one batch is alive at a time. Returns {key: trial list}.
+    """
+    live = [k for k, plan in plans.items() if plan[3] is not None]
+    groups = ([live] if live else []) if shared else [[k] for k in live]
+    by_key = {k: [] for k in plans}
+    for batch in _batches(cfg):
+        for group in groups:
+            cfg_k, inputs, links, _ = plans[group[0]]
+            steps = max(_span(plans[k][0])[0] for k in group)
+            runs = _simulate(cfg_k, net, batch, steps, inputs, links)
+            for trial, traj in zip(batch, runs):
+                for k in group:
+                    by_key[k].append(plans[k][3](trial, net, traj))
+            del runs, traj
+    return by_key
+
+
 def run_experiment(cfg, series=None):
     """Run every trial of the configured (task, model); returns the trial list.
 
     cfg is validated here, so a config whose model or task was switched
-    after loading is checked as it runs.
+    after loading is checked as it runs. series, if given, replaces the
+    external series of the external_series task.
     """
     _io.validate_config(cfg)
     net = build_lattice(cfg.n, cfg.link_length)
-    inputs, links, readout = _plan(cfg, net, series)
-    if readout is None:
-        return []
-    steps = _span(cfg)[0]
-    return [readout(trial, net, traj) for batch in _batches(cfg)
-            for trial, traj in zip(batch, _simulate(cfg, net, batch, steps,
-                                                    inputs, links))]
-
-
-def run_task1_density(cfg):
-    """Target-road density prediction on the density model."""
-    return run_experiment(dataclasses.replace(cfg, model="density", task="density_link"))
-
-
-def run_task1_agents(cfg):
-    """Unmonitored-road density prediction on the multi-agent model; no
-    trials when all M = n_links roads are monitored."""
-    return run_experiment(dataclasses.replace(cfg, model="agents", task="density_link"))
-
-
-def run_task2_external(cfg, series=None):
-    """External-series prediction on the density model: inject y(t-T),
-    read y(t) back."""
-    return run_experiment(dataclasses.replace(cfg, task="external_series"), series)
+    return _run(cfg, net, {None: (cfg, *_plan(cfg, net, series))}, True)[None]
 
 
 def average_prediction(results, count=None):
@@ -438,8 +445,6 @@ def sweep(cfg, param, values, series=None):
     distinct reservoir run and every value sharing that run is read out of
     it: p, M and beta never change the run, and on the density_link
     task a larger T only lengthens it, so the longest span serves every T.
-    Batches of trials (see _batches) run outermost, so one batch is alive
-    at a time.
     """
     if param not in _SWEEP_PARAMS:
         raise _io.ConfigError(
@@ -449,35 +454,25 @@ def sweep(cfg, param, values, series=None):
     net = build_lattice(cfg.n, cfg.link_length)
     order, plans = [], {}
     for raw in values:
-        cfg_v = dataclasses.replace(cfg, **{param: _sweep_value(param, raw)})
+        value = _sweep_value(param, raw)
+        cfg_v = dataclasses.replace(cfg, **{param: value})
         _io.validate_config(cfg_v)
-        value = getattr(cfg_v, param)
         order.append(value)
         if value not in plans:
             plans[value] = (cfg_v, *_plan(cfg_v, net, series))
-    live = [v for v, plan in plans.items() if plan[3] is not None]
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
-    groups = ([live] if live else []) if shared else [[v] for v in live]
-    by_value = {v: [] for v in plans}
-    for batch in _batches(cfg):
-        for group in groups:
-            cfg_v, inputs, links, _ = plans[group[0]]
-            steps = max(_span(plans[v][0])[0] for v in group)
-            runs = _simulate(cfg_v, net, batch, steps, inputs, links)
-            for trial, traj in zip(batch, runs):
-                for v in group:
-                    by_value[v].append(plans[v][3](trial, net, traj))
-            del runs, traj
+    by_value = _run(cfg, net, plans, shared)
     rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
     return SweepResult(param, tuple(by_value), by_value, rows)
 
 
-def run_simulation(cfg, steps=None):
-    """Run the configured model once (trial 0 streams) and return (net, trajectory)."""
+def run_simulation(cfg):
+    """Run the configured model once (trial 0 streams) for cfg.steps steps,
+    or the experiment's span when unset; returns (net, trajectory)."""
+    _io.validate_config(cfg)
     if cfg.model == "density" and cfg.n < 2:
         raise _io.ConfigError(
             "config key 'n': the density model needs a lattice with n >= 2")
-    if steps is None:
-        steps = cfg.steps if cfg.steps is not None else _span(cfg)[0]
+    steps = cfg.steps if cfg.steps is not None else _span(cfg)[0]
     net = build_lattice(cfg.n, cfg.link_length)
     return net, _simulate(cfg, net, [0], steps)[0]

@@ -26,8 +26,7 @@ from trafficrc.lattice import assign_turn_table, build_lattice
 from trafficrc.readout import (FeatureDef, assemble_matrix, log_nrmse,
                                ridge_fit)
 from trafficrc.signals import TWO_PI, PhaseBank, reservoir_observables
-from trafficrc.tasks import (average_prediction, run_task1_agents,
-                             run_task1_density, run_task2_external,
+from trafficrc.tasks import (average_prediction, run_experiment,
                              select_reservoir_fraction, sweep)
 
 EVEN = (1.0 / 3, 1.0 / 3, 1.0 / 3)
@@ -116,8 +115,8 @@ def test_c3_score_improves_with_reservoir_fraction():
 
 def test_c4_lag_diagnostic_flags_delayed_copies():
     base = load_config(CONFIGS / "density_link_p_sweep.json")
-    tiny = run_task1_density(dataclasses.replace(base, p=0.05))
-    half = run_task1_density(dataclasses.replace(base, p=0.5))
+    tiny = run_experiment(dataclasses.replace(base, p=0.05))
+    half = run_experiment(dataclasses.replace(base, p=0.5))
     t = base.T
     delayed = sum(r.lag is not None and abs(r.lag - t) <= 1 for r in tiny)
     genuine = sum(r.lag is not None and abs(r.lag) <= 1 for r in half)
@@ -232,7 +231,7 @@ def test_c8_degenerate_inputs():
 
     # p=0: empty unit mask, run still completes on bias+input features
     mask = select_reservoir_fraction(0.0, 9, np.random.default_rng(0))
-    zero_p = run_task1_density(dataclasses.replace(tiny, p=0.0))
+    zero_p = run_experiment(dataclasses.replace(tiny, p=0.0))
     parts.append(("p=0", mask.size == 0
                   and all(np.isfinite(r.score) for r in zero_p)))
 
@@ -241,11 +240,11 @@ def test_c8_degenerate_inputs():
     x1, x2 = rng.random((2, 40, 9))
     u, k = rng.random(40), rng.random((40, 24))
     ids = np.arange(9)
-    plain = assemble_matrix(FeatureDef("a", ids, horizon=2), x1, x2, u=u)
+    plain = assemble_matrix(FeatureDef("a", ids), x1, x2, u=u)
     empty = assemble_matrix(
-        FeatureDef("a_prime", ids, roads=np.empty(0, np.int64), horizon=2),
+        FeatureDef("a_prime", ids, roads=np.empty(0, np.int64)),
         x1, x2, u=u, k_hist=k)
-    no_roads = run_task1_agents(
+    no_roads = run_experiment(
         dataclasses.replace(tiny, model="agents", n=2, M=8,
                             train=40, test=20, link_length=20.0))
     parts.append(("M=0", np.array_equal(plain, empty) and no_roads == []))
@@ -253,7 +252,7 @@ def test_c8_degenerate_inputs():
     # T=0: the target is its own input feature, so the fit is exact and the
     # score pins to the clamp floor (ridge bias hides the floor unless the
     # penalty is well below the feature scale, hence the tiny beta here)
-    copies = run_task1_density(dataclasses.replace(tiny, T=0, beta=1e-12))
+    copies = run_experiment(dataclasses.replace(tiny, T=0, beta=1e-12))
     parts.append(("T=0", all(r.score <= -11.999 for r in copies)))
 
     # huge ridge: weights collapse to the explicit shrinkage limit and the
@@ -263,13 +262,14 @@ def test_c8_degenerate_inputs():
     w = ridge_fit(x, y, 1e12).weights
     w_limit = y @ x.T / 1e12
     shrunk = np.linalg.norm(w - w_limit) <= 1e-6 * np.linalg.norm(w_limit)
-    blunt = run_task1_density(dataclasses.replace(tiny, beta=1e12, trials=1))
+    blunt = run_experiment(dataclasses.replace(tiny, beta=1e12, trials=1))
     parts.append(("beta=1e12", shrunk and blunt[0].score > -0.05))
 
     # constant teacher: score is undefined and must be refused loudly
     parts.append(("constant teacher",
                   _raises(ValueError, log_nrmse, np.ones(50), np.zeros(50))
-                  and _raises(ValueError, run_task2_external, tiny,
+                  and _raises(ValueError, run_experiment,
+                              dataclasses.replace(tiny, task="external_series"),
                               np.full(300, 7.0))))
 
     ok = all(flag for _, flag in parts)

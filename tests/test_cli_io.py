@@ -198,28 +198,24 @@ def test_shipped_recipes_echo_their_headline_values():
 def test_read_bare_values(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("1.5\n2.5\n-3.0\n")
-    s = read_series_csv(path)
-    assert s.values.tolist() == [1.5, 2.5, -3.0]
-    assert s.step_seconds is None
+    assert read_series_csv(path).tolist() == [1.5, 2.5, -3.0]
 
 
-def test_read_iso_timestamps_give_step_seconds(tmp_path):
+def test_read_iso_timestamped_values(tmp_path):
     path = tmp_path / "s.csv"
     rows = ["time,value"]
     rows += [f"2021-06-01T00:{q:02d}:00,{20 + q}" for q in (0, 15, 30, 45)]
     path.write_text("\n".join(rows) + "\n")
-    s = read_series_csv(path)
-    assert s.step_seconds == 900.0     # 15-minute cadence
-    assert s.values.tolist() == [20.0, 35.0, 50.0, 65.0]
+    assert read_series_csv(path).tolist() == [20.0, 35.0, 50.0, 65.0]
 
 
 def test_read_numeric_timestamps(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("0,1.0\n10,2.0\n20,3.0\n")
-    assert read_series_csv(path).step_seconds == 10.0
-    # non-uniform spacing: values load, no step recorded
+    assert read_series_csv(path).tolist() == [1.0, 2.0, 3.0]
+    # non-uniform spacing loads as well
     path.write_text("0,1.0\n10,2.0\n25,3.0\n")
-    assert read_series_csv(path).step_seconds is None
+    assert read_series_csv(path).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_read_errors_cite_rows(tmp_path):
@@ -245,9 +241,7 @@ def test_series_csv_round_trip(tmp_path):
     values = np.random.default_rng(8).normal(size=64)
     path = tmp_path / "s.csv"
     write_series_csv(path, values)
-    back = read_series_csv(path)
-    assert np.array_equal(back.values, values)
-    assert back.step_seconds == 1.0
+    assert np.array_equal(read_series_csv(path), values)
 
 
 # --- synthetic series ----------------------------------------------------------
@@ -424,12 +418,36 @@ def test_cli_simulate_refuses_a_single_junction_density_lattice(tmp_path, capsys
     assert "config key 'n'" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("extra,args", [
+    ({"seed": -5}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_cli_refuses_a_negative_seed(tmp_path, capsys, extra, args):
+    cfg = _write_cfg(tmp_path, **extra)
+    assert main(["task1-density", "--config", cfg, *args,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "config key 'seed'" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_task2_refuses_a_short_series_naming_its_key(tmp_path, capsys):
+    # the tiny recipe spans 102 steps
+    cfg = _write_cfg(tmp_path, series_synth={"length": 50})
+    assert main(["task2", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("config key 'series_synth'") and "needs 102" in err
+    spath = tmp_path / "short.csv"
+    write_series_csv(spath, np.arange(50.0))
+    assert main(["task2", "--config", cfg, "--series", str(spath),
+                 "--out", str(tmp_path / "b")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("config key 'series_csv'") and "needs 102" in err
+
+
 def test_cli_synth(tmp_path):
     cfg = _write_cfg(tmp_path, series_synth={"length": 50})
     out = tmp_path / "sy"
     assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
-    s = read_series_csv(out / "series.csv")
-    assert s.values.size == 50
+    assert read_series_csv(out / "series.csv").size == 50
 
 
 def test_cli_manifest_reruns_byte_identical(tmp_path):

@@ -145,7 +145,7 @@ def test_density_sim_never_builds_the_dense_matrix(monkeypatch):
     monkeypatch.setattr(TurnTable, "matrix", forbidden)
     net, table, bank, q0 = make_system(4, seed=3)
     DensitySim(net, table, bank, q0).run(20)
-    run_simulation(config_from_dict({"model": "density", "n": 3}), 20)
+    run_simulation(config_from_dict({"model": "density", "n": 3, "steps": 20}))
 
 
 # --- conservation ------------------------------------------------------------

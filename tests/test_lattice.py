@@ -70,9 +70,6 @@ def test_link_length_variants():
     per_link = np.arange(1, 9, dtype=float)
     net = build_lattice(2, per_link)
     assert np.array_equal(net.length, per_link)
-    mapping = {(int(a), int(b)): 3.0 for a, b in zip(net.link_from, net.link_to)}
-    net = build_lattice(2, mapping)
-    assert np.all(net.length == 3.0)
 
 
 def test_build_errors():
@@ -82,8 +79,6 @@ def test_build_errors():
         build_lattice(2, np.ones(5))
     with pytest.raises(ValueError):
         build_lattice(2, -1.0)
-    with pytest.raises(ValueError):
-        build_lattice(2, {})
 
 
 # --- turn tables -------------------------------------------------------------

@@ -34,17 +34,17 @@ def one_column(fdef, x1, x2, u=None, k_hist=None):
 # --- feature assembly --------------------------------------------------------
 
 def test_single_column_layout():
-    fdef = FeatureDef(TAG_A, mask=[1], horizon=5)
+    fdef = FeatureDef(TAG_A, mask=[1])
     x1 = np.array([9.0, 3.0, 9.0])
     x2 = np.array([9.0, 0.0, 9.0])
     col = one_column(fdef, x1, x2, u=7.0)
     assert col.tolist() == [1.0, 7.0, 3.0, 0.0]
-    assert fdef.dim == 4
+    assert col.size == 4
 
 
 def test_reservoir_only_dimension():
     fdef = FeatureDef(TAG_B, mask=np.arange(25))
-    assert fdef.dim == 51
+    assert one_column(fdef, np.zeros(25), np.zeros(25)).size == 51
     with pytest.raises(ValueError):
         one_column(fdef, np.zeros(25), np.zeros(25), u=1.0)
     with pytest.raises(ValueError):
@@ -52,10 +52,10 @@ def test_reservoir_only_dimension():
 
 
 def test_lagged_road_columns():
-    fdef = FeatureDef(TAG_A_PRIME, mask=[0, 2], roads=[5, 1], horizon=3)
-    assert fdef.dim == 1 + 1 + 4 + 2
+    fdef = FeatureDef(TAG_A_PRIME, mask=[0, 2], roads=[5, 1])
     k_hist = np.arange(8.0)
     col = one_column(fdef, np.zeros(4), np.zeros(4), u=0.5, k_hist=k_hist)
+    assert col.size == 1 + 1 + 4 + 2
     assert col[-2:].tolist() == [5.0, 1.0]
     with pytest.raises(ValueError):
         FeatureDef(TAG_A_PRIME, mask=[0])  # roads required
@@ -70,10 +70,10 @@ def test_matrix_assembly_matches_stacked_columns():
     x2 = rng.uniform(size=(steps, nj))
     u = rng.uniform(size=steps)
     k_hist = rng.uniform(size=(steps, nl))
-    fdef = FeatureDef(TAG_A_PRIME, mask=[0, 3, 5], roads=[2, 7], horizon=1)
+    fdef = FeatureDef(TAG_A_PRIME, mask=[0, 3, 5], roads=[2, 7])
     mat = assemble_matrix(fdef, x1[:, fdef.mask], x2[:, fdef.mask], u=u,
                           k_hist=k_hist)
-    assert mat.shape == (fdef.dim, steps)
+    assert mat.shape == (1 + 1 + 2 * 3 + 2, steps)
     for s in range(steps):
         col = assemble_features(fdef, x1[s], x2[s], u=u[s], k_hist=k_hist[s])
         assert np.array_equal(mat[:, s], col)

@@ -14,9 +14,7 @@ from trafficrc.readout import TAG_A, FeatureDef, assemble_matrix, log_nrmse
 from trafficrc.signals import reservoir_observables
 from trafficrc.tasks import (average_prediction, default_target_link,
                              lag_diagnostic, run_experiment, run_simulation,
-                             run_task1_agents, run_task1_density,
-                             run_task2_external, select_reservoir_fraction,
-                             summarize, sweep)
+                             select_reservoir_fraction, summarize, sweep)
 
 
 # --- reservoir unit selection -------------------------------------------------
@@ -118,21 +116,21 @@ _RUNS = {"density": 2, "agents": 1, "series": 2}
 
 def test_density_task_shapes_and_determinism():
     cfg = config_from_dict(dict(_SMALL_DENSITY))
-    res = run_task1_density(cfg)
+    res = run_experiment(cfg)
     assert len(res) == cfg.trials
     for r in res:
         assert np.isfinite(r.score)
         assert r.teacher.shape == (cfg.test,)
         assert r.predicted.shape == (cfg.test,)
         assert r.t0 == cfg.washout + cfg.T + cfg.train
-    again = run_task1_density(cfg)
+    again = run_experiment(cfg)
     for a, b in zip(res, again):
         assert a.score == b.score
         assert np.array_equal(a.predicted, b.predicted)
 
 
 def test_density_trials_share_teacher():
-    res = run_task1_density(config_from_dict(dict(_SMALL_DENSITY)))
+    res = run_experiment(config_from_dict(dict(_SMALL_DENSITY)))
     # same target link and densities are trial-specific: teachers differ,
     # but each trial's teacher matches its own trajectory length
     assert all(r.teacher.shape == res[0].teacher.shape for r in res)
@@ -140,7 +138,7 @@ def test_density_trials_share_teacher():
 
 def test_agents_task_multi_output():
     cfg = config_from_dict(dict(_SMALL_AGENTS))
-    res = run_task1_agents(cfg)
+    res = run_experiment(cfg)
     assert len(res) == cfg.trials
     hidden = cfg.n_links - cfg.M
     for r in res:
@@ -152,18 +150,18 @@ def test_agents_task_multi_output():
 
 def test_agents_monitor_all_roads_returns_no_trials():
     cfg = config_from_dict(dict(_SMALL_AGENTS, M=8))
-    assert run_task1_agents(cfg) == []
+    assert run_experiment(cfg) == []
 
 
 def test_agents_too_many_roads_rejected():
     cfg = config_from_dict(dict(_SMALL_AGENTS, M=9))
     with pytest.raises(ConfigError, match="'M'"):
-        run_task1_agents(cfg)
+        run_experiment(cfg)
 
 
 def test_agents_monitor_none():
     cfg = config_from_dict(dict(_SMALL_AGENTS, M=0, trials=1))
-    res = run_task1_agents(cfg)
+    res = run_experiment(cfg)
     assert res[0].teacher.shape[0] == cfg.n_links
 
 
@@ -173,15 +171,15 @@ def test_task_runners_validate_the_config_they_run():
     cfg = config_from_dict({"n": 2, "M": 4, "T": 2, "washout": 15,
                             "train": 80, "test": 40, "trials": 1})
     with pytest.raises(ConfigError, match="agents_per_link"):
-        run_task1_agents(cfg)
+        run_experiment(dataclasses.replace(cfg, model="agents"))
     agents = config_from_dict(dict(_SMALL_AGENTS, trials=1))
-    res = run_task1_density(agents)
+    res = run_experiment(dataclasses.replace(agents, model="density"))
     assert len(res) == 1 and np.isfinite(res[0].score)
 
 
 def test_series_task_runs_on_synth_default():
     cfg = config_from_dict(dict(_SMALL_SERIES))
-    res = run_task2_external(cfg)
+    res = run_experiment(cfg)
     assert len(res) == cfg.trials
     for r in res:
         assert np.isfinite(r.score)
@@ -191,51 +189,38 @@ def test_series_task_runs_on_synth_default():
 def test_series_task_rejects_agents_model():
     cfg = config_from_dict(dict(_SMALL_SERIES, model="agents"))
     with pytest.raises(ConfigError, match="'model'"):
-        run_task2_external(cfg)
+        run_experiment(cfg)
 
 
 def test_series_too_short_rejected():
     cfg = config_from_dict(dict(_SMALL_SERIES))
     with pytest.raises(ValueError, match="needs"):
-        run_task2_external(cfg, series=np.ones(50))
+        run_experiment(cfg, series=np.ones(50))
 
 
 def test_series_constant_rejected():
     cfg = config_from_dict(dict(_SMALL_SERIES))
     with pytest.raises(ValueError, match="constant"):
-        run_task2_external(cfg, series=np.full(300, 7.0))
+        run_experiment(cfg, series=np.full(300, 7.0))
 
 
 def test_series_zero_horizon_runs():
     cfg = config_from_dict(dict(_SMALL_SERIES, T=0, trials=1))
-    res = run_task2_external(cfg)
+    res = run_experiment(cfg)
     assert np.isfinite(res[0].score)
 
 
 def test_series_feature_flag_changes_prediction():
-    plain = run_task2_external(config_from_dict(dict(_SMALL_SERIES, trials=1)))
-    with_u = run_task2_external(config_from_dict(dict(_SMALL_SERIES, trials=1,
-                                                      task2_feature="a")))
+    plain = run_experiment(config_from_dict(dict(_SMALL_SERIES, trials=1)))
+    with_u = run_experiment(config_from_dict(dict(_SMALL_SERIES, trials=1,
+                                                  task2_feature="a")))
     assert not np.array_equal(plain[0].predicted, with_u[0].predicted)
-
-
-def test_dispatch_matches_direct_calls():
-    cfg = config_from_dict(dict(_SMALL_DENSITY, trials=1))
-    direct = run_task1_density(cfg)
-    routed = run_experiment(cfg)
-    assert routed[0].score == direct[0].score
-
-    cfg = config_from_dict(dict(_SMALL_AGENTS, trials=1))
-    assert run_experiment(cfg)[0].score == run_task1_agents(cfg)[0].score
-
-    cfg = config_from_dict(dict(_SMALL_SERIES, trials=1))
-    assert run_experiment(cfg)[0].score == run_task2_external(cfg)[0].score
 
 
 # --- trial averaging and summary ----------------------------------------------
 
 def test_average_prediction_scores_the_mean():
-    res = run_task2_external(config_from_dict(dict(_SMALL_SERIES)))
+    res = run_experiment(config_from_dict(dict(_SMALL_SERIES)))
     score, mean_pred = average_prediction(res, 2)
     expect = np.mean([res[0].predicted, res[1].predicted], axis=0)
     assert np.array_equal(mean_pred, expect)
@@ -243,14 +228,14 @@ def test_average_prediction_scores_the_mean():
 
 
 def test_average_prediction_rejects_mismatched_teachers():
-    res = run_task1_density(config_from_dict(dict(_SMALL_DENSITY, trials=2)))
+    res = run_experiment(config_from_dict(dict(_SMALL_DENSITY, trials=2)))
     # density teachers are trial-specific (different initial mass layouts)
     with pytest.raises(ValueError, match="teacher"):
         average_prediction(res)
 
 
 def test_summarize_hand_stats():
-    res = run_task2_external(config_from_dict(dict(_SMALL_SERIES)))
+    res = run_experiment(config_from_dict(dict(_SMALL_SERIES)))
     stats = summarize(res)
     scores = np.array([r.score for r in res])
     assert stats["mean"] == pytest.approx(scores.mean())
@@ -264,7 +249,7 @@ def test_summarize_hand_stats():
 def test_sweep_pairs_with_direct_run():
     cfg = config_from_dict(dict(_SMALL_DENSITY))
     swept = sweep(cfg, "p", [0.5, 1.0])
-    direct = run_task1_density(dataclasses.replace(cfg, p=0.5))
+    direct = run_experiment(dataclasses.replace(cfg, p=0.5))
     for a, b in zip(swept.by_value[0.5], direct):
         assert a.score == b.score
         assert np.array_equal(a.predicted, b.predicted)
@@ -453,9 +438,9 @@ def test_lean_trajectories_read_out_as_full_ones(kind):
 
 def test_readout_features_derive_the_observables_of_their_mask():
     cfg = config_from_dict(dict(_SMALL_DENSITY))
-    net, traj = run_simulation(cfg, 80)
+    net, traj = run_simulation(dataclasses.replace(cfg, steps=80))
     x1, x2 = reservoir_observables(traj.u, traj.theta)
-    fdef = FeatureDef(TAG_A, np.array([7, 0, 4]), horizon=2)
+    fdef = FeatureDef(TAG_A, np.array([7, 0, 4]))
     u = np.arange(30.0)
     got = tasks._features(fdef, traj, slice(40, 70), u=u)
     want = assemble_matrix(fdef, x1[40:70, fdef.mask], x2[40:70, fdef.mask], u=u)
@@ -475,8 +460,16 @@ def test_run_simulation_steps_override():
     cfg = config_from_dict(dict(_SMALL_DENSITY, steps=37))
     _, traj = run_simulation(cfg)
     assert traj.k.shape[0] == 37
-    _, traj = run_simulation(cfg, steps=12)
+    _, traj = run_simulation(dataclasses.replace(cfg, steps=12))
     assert traj.k.shape[0] == 12
+
+
+def test_run_simulation_validates_the_config_it_runs():
+    cfg = config_from_dict(dict(_SMALL_DENSITY))
+    with pytest.raises(ConfigError, match="'steps'"):
+        run_simulation(dataclasses.replace(cfg, steps=0))
+    with pytest.raises(ConfigError, match="'tau'"):
+        run_simulation(dataclasses.replace(cfg, tau=-1.0, steps=5))
 
 
 def test_run_simulation_agents_model():
