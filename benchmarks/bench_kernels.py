@@ -18,14 +18,24 @@ set of arrays amortise the per-call overhead of a small lattice. Each
 model's unions are timed round-robin, one round of each K in turn, so a
 drift of the host's speed reaches every K alike.
 
+--write-steps N times Trajectory.write_csv of an N-step trajectory of the
+n = 40 density model (the trajectory.csv of `simulate`), in ms per row: once
+with this process pinned to one CPU, so the writer formats every row
+itself, and once on every CPU it may use, where with two or more it forks a
+child to format the second half. The two alternate over WRITE_ROUNDS rounds
+and the median is reported.
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --agents-n 3,6,10 --density-n 5,10,20,40 --json out.json
     python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k 1,2,4
+    python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k '' --write-steps 150
 """
 
 import argparse
 import json
+import os
 import platform
+import tempfile
 import time
 
 import numpy as np
@@ -74,6 +84,39 @@ def time_round_robin(sims, steps, warmup):
                                                             axis=1).T)]
 
 
+WRITE_N = 40
+WRITE_ROUNDS = 3
+
+
+def time_writer(steps):
+    """ms per row of write_csv on a `steps`-step n = WRITE_N density
+    trajectory: pinned to one CPU, then on every CPU this process may use.
+    Returns {"cpus": k, "pinned": {...}, "unpinned": {...}}, each the median
+    and quartiles over rounds."""
+    sim = build_sim("density", WRITE_N)
+    traj = sim.run(steps)
+    allowed = os.sched_getaffinity(0)
+    ms = {"pinned": [], "unpinned": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.csv")
+        for _ in range(WRITE_ROUNDS):
+            for kind in ms:
+                if kind == "pinned":
+                    os.sched_setaffinity(0, {min(allowed)})
+                try:
+                    start = time.perf_counter()
+                    traj.write_csv(path, sim.net)
+                    ms[kind].append((time.perf_counter() - start) * 1e3 / steps)
+                finally:
+                    os.sched_setaffinity(0, allowed)
+    out = {"cpus": len(allowed)}
+    for kind, vals in ms.items():
+        q1, med, q3 = np.percentile(vals, [25, 50, 75])
+        out[kind] = {"median": round(med, 4), "q1": round(q1, 4),
+                     "q3": round(q3, 4)}
+    return out
+
+
 def _sizes(text):
     return [int(v) for v in text.replace(",", " ").split()]
 
@@ -93,11 +136,13 @@ def main(argv=None):
                     help="timed reservoir steps per density size")
     ap.add_argument("--warmup", type=int, default=100,
                     help="untimed steps before timing")
+    ap.add_argument("--write-steps", type=int, default=0,
+                    help="rows of the timed n=40 trajectory.csv (0: skip)")
     ap.add_argument("--json", help="also write the results to this file")
     args = ap.parse_args(argv)
 
     rows = {"agents": [], "density": [], "agents_union": [],
-            "density_union": []}
+            "density_union": [], "writer": []}
     print(f"{'model':<8} {'n':>3} {'links':>6} {'ms/step':>9} "
           f"{'q1':>9} {'q3':>9} {'us/link':>8}")
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
@@ -131,6 +176,16 @@ def main(argv=None):
                 print(f"{model:<8} {n:>3} {k:>3} {r['links']:>6} "
                       f"{t['median']:>9.3f} {r['ms_per_trial_step']:>9.3f} "
                       f"{r['us_per_link']:>8.2f}")
+    if args.write_steps > 0:
+        w = time_writer(args.write_steps)
+        rows["writer"].append({"n": WRITE_N, "rows": args.write_steps, **w})
+        print(f"\n{'writer':<8} {'n':>3} {'rows':>5} {'cpus':>4} {'ms/row':>9} "
+              f"{'q1':>9} {'q3':>9}")
+        for kind in ("pinned", "unpinned"):
+            t = w[kind]
+            cpus = 1 if kind == "pinned" else w["cpus"]
+            print(f"{kind:<8} {WRITE_N:>3} {args.write_steps:>5} {cpus:>4} "
+                  f"{t['median']:>9.3f} {t['q1']:>9.3f} {t['q3']:>9.3f}")
     if args.json:
         env = {"python": platform.python_version(), "numpy": np.__version__,
                "machine": platform.machine()}

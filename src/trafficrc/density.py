@@ -3,6 +3,12 @@ reservoir core that both traffic models share."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +61,13 @@ class Trajectory:
         Junction columns are ordered by junction id, link columns in
         canonical link order; floats are shortest round-trip reprs. Every
         link must be stored.
+
+        Formatting the floats is nearly all of the time, so where the host
+        can fork and this process may run on two CPUs, a child process
+        formats the second half of the rows into <path>.part while this
+        process formats the first half; the part is then appended. Both
+        halves use one row formatter, so the file has the same bytes either
+        way.
         """
         if self.links is not None:
             raise ValueError("write_csv needs every link's density")
@@ -64,17 +77,69 @@ class Trajectory:
         cols += [f"x1_{j}" for j in range(nj)]
         cols += [f"x2_{j}" for j in range(nj)]
         cols += [f"k_{net.link_from[l]}_{net.link_to[l]}" for l in range(net.n_links)]
+        steps = self.steps
+        two_cpus = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                    and len(os.sched_getaffinity(0)) >= 2)
+        split = steps // 2 if two_cpus else steps
+        part = os.fspath(path) + ".part"
+        # fork before the output file is open, so the child inherits no
+        # buffer of it; the child runs only the row formatter, which calls
+        # no BLAS, so the BLAS threads that a fork leaves behind are not
+        # missed
+        child = os.fork() if split < steps else None
+        if child == 0:
+            _child_write(self, part, split, steps)
+        try:
+            with open(path, "w") as fh:
+                fh.write(",".join(cols) + "\n")
+                self._write_rows(fh, 0, split)
+                if child is not None:
+                    status = os.waitpid(child, 0)[1]
+                    child = None
+                    code = os.waitstatus_to_exitcode(status)
+                    if code != 0:
+                        raise OSError(
+                            f"trajectory writer child exited with status {code}")
+                    fh.flush()
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer, 1 << 16)
+        finally:
+            if child is not None:
+                # this process failed before reaping the child
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+            if split < steps:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(part)
+
+    def _write_rows(self, fh, start, stop):
+        """Write rows start..stop-1; tolist() yields Python floats, whose
+        repr is the shortest round trip."""
+        for s in range(start, stop):
+            # one row, and within it one array, at a time: no whole-run X1/X2
+            # arrays and no whole-row lists stay alive
+            x1, x2 = self.observables(s)
+            fh.write(str(self.t0 + s))
+            for vals in (self.u[s], x1, x2, self.k[s]):
+                # the leading "" puts a comma before each value, none if empty
+                fh.write(",".join(["", *map(repr, vals.tolist())]))
+            fh.write("\n")
+
+
+def _child_write(traj, path, start, stop):
+    """In a forked child: write rows start..stop-1 of traj to path, then
+    leave without running the parent's exit handlers or flushing its
+    inherited buffers. Exits 1, after printing the traceback, on failure."""
+    code = 1
+    try:
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for s in range(self.steps):
-                # one row at a time: no whole-run X1/X2 arrays stay alive
-                x1, x2 = self.observables(s)
-                row = [str(self.t0 + s)]
-                row += [repr(float(v)) for v in self.u[s]]
-                row += [repr(float(v)) for v in x1]
-                row += [repr(float(v)) for v in x2]
-                row += [repr(float(v)) for v in self.k[s]]
-                fh.write(",".join(row) + "\n")
+            traj._write_rows(fh, start, stop)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def init_density(net, total_vehicles, rng=None, how="random"):

@@ -338,9 +338,10 @@ def read_series_csv(path):
         values.append(val)
     if not values:
         raise ValueError(f"{path}: no data rows")
-    if times[0] is not None:
-        if any(t is None for t in times):
-            raise ValueError(f"{path}: mixed timestamped and bare rows")
+    stamped = [t is not None for t in times]
+    if any(stamped) and not all(stamped):
+        raise ValueError(f"{path}: mixed timestamped and bare rows")
+    if stamped[0]:
         for i in range(1, len(times)):
             if times[i] <= times[i - 1]:
                 raise ValueError(

@@ -143,25 +143,22 @@ def assign_turn_table(net, w, rng=None, permute=True):
     if permute and rng is None:
         raise ValueError("permute=True requires an rng")
 
-    n_links = net.n_links
-    idx = np.full((n_links, 3), -1, dtype=np.int64)
-    wgt = np.zeros((n_links, 3))
-    for l in range(n_links):
-        j = net.link_to[l]
-        d = net.link_dir[l]
-        rel = ((d + 1) % 4, (d + 3) % 4, d)  # right, left, straight
-        assigned = w[rng.permutation(3)] if permute else w
-        targets = net.out_by_dir[j, rel]
-        have = targets >= 0
-        k = int(have.sum())
-        present = assigned[have]
-        s = float(present.sum())
-        vals = present / s if s > 0 else np.full(k, 1.0 / k)
-        vals = vals / vals.sum()
-        idx[l, :k] = targets[have]
-        wgt[l, :k] = vals
-    have = idx >= 0
-    return TurnTable(np.nonzero(have)[0], idx[have], wgt[have], n_links)
+    d = net.link_dir
+    rel = np.stack([(d + 1) % 4, (d + 3) % 4, d], axis=1)  # right, left, straight
+    targets = net.out_by_dir[net.link_to[:, None], rel]
+    have = targets >= 0
+    # one draw per link, in link order, as the STREAM_TURNS stream expects
+    perm = np.array([rng.permutation(3) for _ in range(net.n_links)],
+                    dtype=np.int64).reshape(-1, 3) if permute else np.arange(3)
+    # missing exits carry 0.0: adding it is exact, so each left-to-right sum
+    # equals that of the present exits alone
+    present = np.where(have, w[perm], 0.0)
+    s = (present[:, 0] + present[:, 1]) + present[:, 2]
+    even = have / have.sum(axis=1, keepdims=True)  # 1/k on each present exit
+    safe = np.where(s > 0, s, 1.0)[:, None]
+    vals = np.where((s > 0)[:, None], present / safe, even)
+    vals = vals / ((vals[:, 0] + vals[:, 1]) + vals[:, 2])[:, None]
+    return TurnTable(np.nonzero(have)[0], targets[have], vals[have], net.n_links)
 
 
 def save_network(path, net):

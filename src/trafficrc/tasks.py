@@ -81,7 +81,6 @@ class TrialResult:
 class SweepResult:
     """Per-value trial lists plus a mean/stderr summary table."""
     param: str
-    values: tuple
     by_value: dict
     rows: list
 
@@ -451,19 +450,20 @@ def sweep(cfg, param, values, series=None):
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMS)}")
     if not values:
         raise _io.ConfigError(f"config key {param!r}: no sweep values given")
-    net = build_lattice(cfg.n, cfg.link_length)
-    order, plans = [], {}
+    order, configs = [], {}
     for raw in values:
         value = _sweep_value(param, raw)
         cfg_v = dataclasses.replace(cfg, **{param: value})
         _io.validate_config(cfg_v)
         order.append(value)
-        if value not in plans:
-            plans[value] = (cfg_v, *_plan(cfg_v, net, series))
+        configs[value] = cfg_v
+    # every value's config, and so every key of the base, is valid here
+    net = build_lattice(cfg.n, cfg.link_length)
+    plans = {v: (c, *_plan(c, net, series)) for v, c in configs.items()}
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
     by_value = _run(cfg, net, plans, shared)
     rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
-    return SweepResult(param, tuple(by_value), by_value, rows)
+    return SweepResult(param, by_value, rows)
 
 
 def run_simulation(cfg):

@@ -232,7 +232,12 @@ def test_read_errors_cite_rows(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_series_csv(path)
-    path.write_text("2,3.0\n1.5\n")
+
+
+@pytest.mark.parametrize("text", ["2,3.0\n1.5\n", "1.5\n2,3.0\n5,4.0\n"])
+def test_read_refuses_mixed_rows_in_either_order(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
     with pytest.raises(ValueError, match="mixed"):
         read_series_csv(path)
 

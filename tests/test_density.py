@@ -1,12 +1,14 @@
 """Density model: kernel equivalence, conservation, linearity, gating."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficrc import kernels
-from trafficrc.density import DensitySim, init_density
+from trafficrc.density import DensitySim, Trajectory, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
 from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
@@ -399,3 +401,83 @@ def test_density_union_split_runs_equal_one_run():
     ahead.run(1)
     with pytest.raises(ValueError, match="time"):
         DensitySim.union(block_sims(blocks[1:]) + [ahead])
+
+
+# --- trajectory.csv writer -----------------------------------------------------
+
+def trajectory_csv_oracle(traj, net):
+    """The one-loop writer's text: every float through repr(float(v))."""
+    nj = net.n_junctions
+    cols = (["t"] + [f"u_{j}" for j in range(nj)] + [f"x1_{j}" for j in range(nj)]
+            + [f"x2_{j}" for j in range(nj)]
+            + [f"k_{net.link_from[l]}_{net.link_to[l]}" for l in range(net.n_links)])
+    lines = [",".join(cols)]
+    for s in range(traj.steps):
+        x1, x2 = traj.observables(s)
+        row = [str(traj.t0 + s)]
+        for a in (traj.u[s], x1, x2, traj.k[s]):
+            row += [repr(float(v)) for v in a]
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes the writer see k CPUs; returns the list of forks made."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        return forks
+    return set_cpus
+
+
+def assert_no_leftovers(tmp_path):
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".part"] == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# an agents lattice with n = 1 has no links, so its rows end after x2
+@pytest.mark.parametrize("model,n", [("density", 3), ("agents", 3), ("agents", 1)])
+@pytest.mark.parametrize("steps", [1, 2, 3, 8, 17])
+def test_two_process_csv_equals_one_process_csv(tmp_path, cpus, model, n, steps):
+    net, traj = run_simulation(config_from_dict(
+        {"model": model, "n": n, "seed": 4, "steps": steps}))
+    want = trajectory_csv_oracle(traj, net).encode()
+    forks = cpus(1)
+    traj.write_csv(tmp_path / "one.csv", net)
+    assert forks == []
+    cpus(2)
+    traj.write_csv(tmp_path / "two.csv", net)
+    assert len(forks) == 1
+    assert (tmp_path / "one.csv").read_bytes() == want
+    assert (tmp_path / "two.csv").read_bytes() == want
+    assert_no_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_half_fails_the_write(tmp_path, cpus, monkeypatch, where):
+    net, traj = run_simulation(config_from_dict({"n": 3, "seed": 4, "steps": 9}))
+    forks = cpus(2)
+    write_rows = Trajectory._write_rows
+    parent = os.getpid()
+
+    def failing(self, fh, start, stop):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError("formatter failed")
+        write_rows(self, fh, start, stop)
+
+    monkeypatch.setattr(Trajectory, "_write_rows", failing)
+    raises = OSError if where == "child" else RuntimeError
+    with pytest.raises(raises, match="status 1" if where == "child" else "formatter"):
+        traj.write_csv(tmp_path / "trajectory.csv", net)
+    assert len(forks) == 1
+    assert_no_leftovers(tmp_path)

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trafficrc.lattice import (E, N, S, W, assign_turn_table,
+from trafficrc.lattice import (E, N, S, W, TurnTable, assign_turn_table,
                                build_lattice, save_network)
 
 
@@ -192,6 +194,50 @@ def test_turn_table_is_one_entry_list_grouped_by_source(n):
         want = np.zeros(net.n_links)
         want[ids] = vals
         assert np.array_equal(m[l], want)
+
+
+def turn_table_oracle(net, w, rng=None, permute=True):
+    """The per-link loop that assign_turn_table replaced with array
+    operations: one rng.permutation(3) per link, in link order."""
+    w = np.asarray(w, dtype=float)
+    n_links = net.n_links
+    idx = np.full((n_links, 3), -1, dtype=np.int64)
+    wgt = np.zeros((n_links, 3))
+    for l in range(n_links):
+        j = net.link_to[l]
+        d = net.link_dir[l]
+        rel = ((d + 1) % 4, (d + 3) % 4, d)  # right, left, straight
+        assigned = w[rng.permutation(3)] if permute else w
+        targets = net.out_by_dir[j, rel]
+        have = targets >= 0
+        k = int(have.sum())
+        present = assigned[have]
+        s = float(present.sum())
+        vals = present / s if s > 0 else np.full(k, 1.0 / k)
+        vals = vals / vals.sum()
+        idx[l, :k] = targets[have]
+        wgt[l, :k] = vals
+    have = idx >= 0
+    return TurnTable(np.nonzero(have)[0], idx[have], wgt[have], n_links)
+
+
+_weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), raw=st.lists(_weight, min_size=3, max_size=3)
+       .filter(lambda v: sum(v) > 0), permute=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_turn_table_matches_the_per_link_oracle(n, raw, permute, seed):
+    net = build_lattice(n)
+    w = np.asarray(raw) / sum(raw)
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = assign_turn_table(net, w, rng_got, permute)
+    want = turn_table_oracle(net, w, rng_want, permute)
+    for name in ("src", "to", "wgt"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    # the stream is left where the per-link draws leave it
+    assert rng_got.random() == rng_want.random()
 
 
 def test_turn_table_requires_rng_and_valid_weights():

@@ -277,6 +277,14 @@ def test_sweep_validates_each_value():
         sweep(cfg, "p", [0.5, 1.5])
 
 
+@pytest.mark.parametrize("n", [0, 2.5])
+def test_sweep_names_a_bad_base_key_before_building(sim_runs, n):
+    cfg = dataclasses.replace(config_from_dict(dict(_SMALL_DENSITY)), n=n)
+    with pytest.raises(ConfigError, match="'n'"):
+        sweep(cfg, "p", [0.5])
+    assert sim_runs == []
+
+
 def test_sweep_rejects_non_integral_counts():
     cfg = config_from_dict(dict(_SMALL_AGENTS, trials=1))
     with pytest.raises(ConfigError, match="'T'"):
