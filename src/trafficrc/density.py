@@ -67,7 +67,7 @@ class Trajectory:
         formats the second half of the rows into <path>.part while this
         process formats the first half; the part is then appended. Both
         halves use one row formatter, so the file has the same bytes either
-        way.
+        way. A failed write leaves no file at path.
         """
         if self.links is not None:
             raise ValueError("write_csv needs every link's density")
@@ -89,8 +89,10 @@ class Trajectory:
         child = os.fork() if split < steps else None
         if child == 0:
             _child_write(self, part, split, steps)
+        opened = False
         try:
             with open(path, "w") as fh:
+                opened = True
                 fh.write(",".join(cols) + "\n")
                 self._write_rows(fh, 0, split)
                 if child is not None:
@@ -103,6 +105,12 @@ class Trajectory:
                     fh.flush()
                     with open(part, "rb") as src:
                         shutil.copyfileobj(src, fh.buffer, 1 << 16)
+        except BaseException:
+            if opened:
+                # leave no partial file behind
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            raise
         finally:
             if child is not None:
                 # this process failed before reaping the child
@@ -160,6 +168,10 @@ def init_density(net, total_vehicles, rng=None, how="random"):
             raise ValueError('init "random" requires an rng')
         return rng.dirichlet(np.ones(net.n_links)) * total
     raise ValueError(f"unknown init mode {how!r}")
+
+
+# bytes of step densities that _Reservoir.run buffers between two recordings
+_RECORD_BYTES = 1 << 18
 
 
 class _UnionNet(NamedTuple):
@@ -252,12 +264,25 @@ class _Reservoir:
         go = link_go(theta, self.bank.ns_stop_first, net)
         cols = slice(None) if links is None else (
             self._link_off[:-1, None] + np.asarray(links, dtype=np.int64)).ravel()
-        u = np.empty((steps, net.n_junctions))
+        nl, nj = net.n_links, net.n_junctions
+        u = np.empty((steps, nj))
         k = np.empty((steps, net.length[cols].size))
-        for s in range(steps):
-            dens = self.step(go[s])
-            k[s] = dens[cols]
-            u[s] = np.bincount(net.link_to, weights=dens, minlength=net.n_junctions)
+        # the steps' densities are recorded a block of rows at a time: one
+        # gather fills k, and one bincount over per-row junction bins fills
+        # u, each bin adding the same densities in the same order as a
+        # bincount of its own row would
+        rows = max(1, min(steps, _RECORD_BYTES // (8 * max(nl, 1))))
+        dens = np.empty((rows, nl))
+        bins = (np.arange(rows)[:, None] * nj + net.link_to).ravel()
+        for start in range(0, steps, rows):
+            stop = min(start + rows, steps)
+            r = stop - start
+            for s in range(start, stop):
+                dens[s - start] = self.step(go[s])
+            k[start:stop] = dens[:r, cols]
+            u[start:stop] = np.bincount(
+                bins[:r * nl], weights=dens[:r].ravel(),
+                minlength=r * nj).reshape(r, nj)
         return Trajectory(t0, u, theta, k, None if links is None else cols)
 
     def split(self, traj):

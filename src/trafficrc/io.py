@@ -375,10 +375,10 @@ def synth_series(kind, length, rng, amplitude=10.0, offset=20.0, period=96.0,
 
 def write_series_csv(path, values):
     """Write a series as t,value rows (round-trip exact)."""
+    values = np.asarray(values, dtype=float).tolist()
     with open(path, "w") as fh:
         fh.write("t,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{repr(float(v))}\n")
+        fh.write(_rows_text(range(len(values)), [values]))
 
 
 # --- results -----------------------------------------------------------------
@@ -405,12 +405,24 @@ def _trial_series_csv(path, result):
     else:
         header = (["t"] + [f"teacher_{i}" for i in range(m)]
                   + [f"predicted_{i}" for i in range(m)])
-    # tolist() yields Python floats, whose repr is the shortest round trip
-    rows = np.vstack([teacher, predicted]).T.tolist()
+    t0 = int(result.t0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for t, row in enumerate(rows, int(result.t0)):
-            fh.write(f"{t}," + ",".join(map(repr, row)) + "\n")
+        fh.write(_rows_text(range(t0, t0 + teacher.shape[1]),
+                            np.vstack([teacher, predicted]).tolist()))
+
+
+def _rows_text(times, columns):
+    """The CSV rows t,c_0,c_1,.. as one %-format of a row template repeated
+    per row: "%d" of a Python int is its str, and "%r" of a Python float
+    its repr, the shortest round trip. columns holds lists of Python
+    floats, each as long as times."""
+    step = len(columns) + 1
+    cells = [None] * (len(times) * step)
+    cells[::step] = times
+    for i, col in enumerate(columns, 1):
+        cells[i::step] = col
+    return ("%d" + ",%r" * len(columns) + "\n") * len(times) % tuple(cells)
 
 
 def _manifest(out_dir, command, seed, cfg, outputs, notes=None):

@@ -233,14 +233,14 @@ def _simulate(cfg, net, trials, steps, inputs=None, links=None):
     return sim.split(sim.run(steps, inputs=inputs, links=links))
 
 
-def _features(fdef, traj, rows, u=None, k_hist=None):
-    """The readout's feature matrix, with X1 and X2 derived only at its
-    rows and masked junctions."""
-    x1, x2 = traj.observables(rows, fdef.mask)
+def _features(fdef, obs, rows, u=None, k_hist=None):
+    """The readout's feature matrix: its rows and masked junctions gathered
+    from obs, the trial's (X1, X2) over every row and junction."""
+    x1, x2 = (x[rows, fdef.mask] for x in obs)
     return assemble_matrix(fdef, x1, x2, u=u, k_hist=k_hist)
 
 
-def _read_density(cfg, target, trial, net, traj):
+def _read_density(cfg, target, trial, net, traj, obs):
     """Target-road density from the observables and the road's own past."""
     steps, first = _span(cfg)
     ends = (net.link_from[target], net.link_to[target])
@@ -249,12 +249,12 @@ def _read_density(cfg, target, trial, net, traj):
         exclude=ends)
     y = traj.density(target)[:steps]
     fdef = FeatureDef(TAG_A, mask)
-    x = _features(fdef, traj, slice(first, steps),
+    x = _features(fdef, obs, slice(first, steps),
                   u=y[cfg.washout:steps - cfg.T])
     return _score(cfg, trial, x, y[first:])
 
 
-def _read_agents(cfg, trial, net, traj):
+def _read_agents(cfg, trial, net, traj, obs):
     """Unmonitored-road densities (multi-output) from the observables, the
     monitored roads T steps back and the unmonitored mean T steps back."""
     steps, first = _span(cfg)
@@ -265,12 +265,12 @@ def _read_agents(cfg, trial, net, traj):
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     past = traj.k[cfg.washout:steps - cfg.T]
     fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored)
-    x = _features(fdef, traj, slice(first, steps),
+    x = _features(fdef, obs, slice(first, steps),
                   u=past[:, hidden].mean(axis=1), k_hist=past)
     return _score(cfg, trial, x, traj.k[first:steps, hidden].T)
 
 
-def _read_series(cfg, y, z, trial, net, traj):
+def _read_series(cfg, y, z, trial, net, traj, obs):
     """Series value y(t) from the observables (tag "b"), plus the injected
     y(t-T) when task2_feature is "a" (tag "a")."""
     steps, first = _span(cfg)
@@ -278,7 +278,7 @@ def _read_series(cfg, y, z, trial, net, traj):
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     with_u = cfg.task2_feature == "a"
     fdef = FeatureDef(TAG_A if with_u else TAG_B, mask)
-    x = _features(fdef, traj, slice(first, steps),
+    x = _features(fdef, obs, slice(first, steps),
                   u=z[cfg.washout:steps - cfg.T] if with_u else None)
     return _score(cfg, trial, x, y[first:])
 
@@ -313,8 +313,10 @@ def _plan(cfg, net, series=None):
 
     Returns (inputs, links, readout): the external drive of every trial
     (None on the density_link task), the links whose densities the readout
-    reads (None: every link) and readout(trial, net, traj) -> TrialResult,
-    which reads the first _span(cfg)[0] steps of a possibly longer run.
+    reads (None: every link) and readout(trial, net, traj, obs) ->
+    TrialResult, which reads the first _span(cfg)[0] steps of a possibly
+    longer run; obs is traj.observables(), the (X1, X2) of every row and
+    junction.
     readout is None when every road is monitored. The external series is
     standardized with mean/std taken from its pre-test prefix and injected
     T steps late through each trial's input weights.
@@ -373,8 +375,11 @@ def _run(cfg, net, plans, shared):
             steps = max(_span(plans[k][0])[0] for k in group)
             runs = _simulate(cfg_k, net, batch, steps, inputs, links)
             for trial, traj in zip(batch, runs):
+                # X1/X2 once per trial, read by every readout of the group
+                obs = traj.observables()
                 for k in group:
-                    by_key[k].append(plans[k][3](trial, net, traj))
+                    by_key[k].append(plans[k][3](trial, net, traj, obs))
+                del obs
             del runs, traj
     return by_key
 

@@ -8,11 +8,14 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trafficrc.cli import main
-from trafficrc.io import (ConfigError, ExperimentConfig, config_from_dict,
-                          config_to_dict, load_config, read_series_csv,
-                          synth_series, write_series_csv)
+from trafficrc.io import (ConfigError, ExperimentConfig, _trial_series_csv,
+                          config_from_dict, config_to_dict, load_config,
+                          read_series_csv, synth_series, write_series_csv)
+from trafficrc.tasks import TrialResult
 
 
 # --- config resolution ---------------------------------------------------------
@@ -247,6 +250,50 @@ def test_series_csv_round_trip(tmp_path):
     path = tmp_path / "s.csv"
     write_series_csv(path, values)
     assert np.array_equal(read_series_csv(path), values)
+
+
+# --- series writers against the per-row writers they replaced --------------------
+
+def series_csv_oracle(values):
+    """write_series_csv's text, written one row at a time."""
+    return "t,value\n" + "".join(f"{i},{repr(float(v))}\n"
+                                 for i, v in enumerate(values))
+
+
+def trial_series_oracle(result):
+    """_trial_series_csv's text, written one row at a time."""
+    teacher = np.atleast_2d(np.asarray(result.teacher, dtype=float))
+    predicted = np.atleast_2d(np.asarray(result.predicted, dtype=float))
+    m = teacher.shape[0]
+    header = (["t", "teacher", "predicted"] if m == 1 else
+              ["t"] + [f"teacher_{i}" for i in range(m)]
+              + [f"predicted_{i}" for i in range(m)])
+    rows = np.vstack([teacher, predicted]).T.tolist()
+    return ",".join(header) + "\n" + "".join(
+        f"{t}," + ",".join(map(repr, row)) + "\n"
+        for t, row in enumerate(rows, int(result.t0)))
+
+
+# magnitudes from subnormal to near overflow, signed zeros, and the non-finite
+_CELLS = st.one_of(st.floats(width=64),
+                   st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1e16, 1e300]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), m=st.integers(1, 4), steps=st.integers(0, 12),
+       t0=st.integers(0, 10**12))
+def test_series_writers_match_the_per_row_writers(tmp_path, data, m, steps, t0):
+    cells = data.draw(st.lists(_CELLS, min_size=2 * m * steps,
+                               max_size=2 * m * steps))
+    both = np.array(cells, dtype=float).reshape(2, m, steps)
+    teacher, predicted = (both[0, 0], both[1, 0]) if m == 1 else both
+    result = TrialResult(0, 1, 0.0, None, teacher, predicted, t0)
+    path = tmp_path / "trial.csv"
+    _trial_series_csv(path, result)
+    assert path.read_bytes() == trial_series_oracle(result).encode()
+    write_series_csv(path, both[0, 0])
+    assert path.read_bytes() == series_csv_oracle(both[0, 0]).encode()
 
 
 # --- synthetic series ----------------------------------------------------------

@@ -1,19 +1,21 @@
 """Density model: kernel equivalence, conservation, linearity, gating."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficrc import kernels
+from trafficrc import density, kernels
+from trafficrc.agents import AgentSim, OVParams, init_agents
 from trafficrc.density import DensitySim, Trajectory, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
 from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
                                PhaseBank, link_go)
-from trafficrc.tasks import run_simulation
+from trafficrc.tasks import _simulate, run_simulation
 
 
 def make_system(n, seed, link_length=1.0):
@@ -403,6 +405,99 @@ def test_density_union_split_runs_equal_one_run():
         DensitySim.union(block_sims(blocks[1:]) + [ahead])
 
 
+# --- block-wise recording --------------------------------------------------------
+
+def per_step_record(sim, steps, links=None):
+    """run()'s record taken one step at a time, as run() took it before it
+    recorded blocks of rows: a gather into k and a bincount into u after
+    every step. Returns (u, theta, k)."""
+    net = sim.net
+    theta = sim.bank.schedule(sim.t, steps)
+    go = link_go(theta, sim.bank.ns_stop_first, net)
+    cols = slice(None) if links is None else (
+        sim._link_off[:-1, None] + np.asarray(links, dtype=np.int64)).ravel()
+    u = np.empty((steps, net.n_junctions))
+    k = np.empty((steps, net.length[cols].size))
+    for s in range(steps):
+        dens = sim.step(go[s])
+        k[s] = dens[cols]
+        u[s] = np.bincount(net.link_to, weights=dens, minlength=net.n_junctions)
+    return u, theta, k
+
+
+def recorded_sims(model, rng, n, k):
+    """Two equal union sims of k random blocks of an n x n lattice."""
+    params = OVParams(dt=0.25)
+    blocks = []
+    for _ in range(k):
+        net = build_lattice(n, rng.uniform(3.0, 20.0, 4 * n * (n - 1)))
+        table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+        bank = PhaseBank(rng.uniform(5.0, 60.0, n * n),
+                         rng.uniform(0.0, TWO_PI, n * n))
+        if model == "agents":
+            state = init_agents(net, table, rng, per_link=int(rng.integers(0, 6)),
+                                params=params)
+        else:
+            state = init_density(net, float(net.n_links), rng)
+        blocks.append((net, table, bank, state, int(rng.integers(2**32))))
+
+    def union():
+        if model == "agents":
+            return AgentSim.union([
+                AgentSim(net, table, bank.copy(), state.copy(), params,
+                         np.random.default_rng(seed))
+                for net, table, bank, state, seed in blocks])
+        return DensitySim.union([DensitySim(net, table, bank.copy(), q0)
+                                 for net, table, bank, q0, _ in blocks])
+    return union(), union()
+
+
+# n = 1 (agents only) has no links; rows small enough that runs cross blocks
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["density", "agents"]),
+       k=st.integers(1, 3), n=st.integers(1, 3), rows=st.integers(1, 9),
+       steps=st.lists(st.integers(0, 30), min_size=1, max_size=2),
+       lean=st.booleans())
+def test_run_records_as_the_per_step_loop(seed, model, k, n, rows, steps, lean):
+    if model == "density":
+        n = max(n, 2)
+    rng = np.random.default_rng(seed)
+    sim, ref = recorded_sims(model, rng, n, k)
+    n_links = 4 * n * (n - 1)
+    links = rng.choice(n_links, rng.integers(0, min(n_links, 4) + 1),
+                       replace=False) if lean else None
+    for a in steps:     # a second run resumes the first
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_RECORD_BYTES", 8 * rows * sim.net.n_links)
+            traj = sim.run(a, links=links)
+        want = per_step_record(ref, a, links)
+        for name, w in zip(("u", "theta", "k"), want):
+            got = getattr(traj, name)
+            assert got.shape == w.shape and got.tobytes() == w.tobytes(), name
+    if model == "agents":
+        for name in ("link", "x", "v", "next_link"):
+            assert (getattr(sim.state, name).tobytes()
+                    == getattr(ref.state, name).tobytes()), name
+        assert sim.min_gaps.tobytes() == ref.min_gaps.tobytes()
+    else:
+        assert sim.q.tobytes() == ref.q.tobytes()
+
+
+def test_doubling_the_vehicles_doubles_the_record():
+    # the p-sweep recipe: 80 links, so 3000 steps cross several record blocks
+    cfg = config_from_dict({"n": 5, "T": 5, "tau": 100.0, "seed": 12345})
+    net = build_lattice(cfg.n, cfg.link_length)
+    assert 3000 > density._RECORD_BYTES // (8 * net.n_links)
+    one, = _simulate(cfg, net, [0], 3000)
+    two, = _simulate(replace(cfg, total_vehicles=2 * cfg.total_vehicles),
+                     net, [0], 3000)
+    assert two.theta.tobytes() == one.theta.tobytes()
+    pairs = [(one.u, two.u), (one.k, two.k),
+             *zip(one.observables(), two.observables())]
+    for a, b in pairs:
+        assert b.tobytes() == (2.0 * a).tobytes()
+
+
 # --- trajectory.csv writer -----------------------------------------------------
 
 def trajectory_csv_oracle(traj, net):
@@ -463,15 +558,16 @@ def test_two_process_csv_equals_one_process_csv(tmp_path, cpus, model, n, steps)
     assert_no_leftovers(tmp_path)
 
 
-@pytest.mark.parametrize("where", ["child", "parent"])
+# "alone": one CPU, so this process formats every row and fails
+@pytest.mark.parametrize("where", ["child", "parent", "alone"])
 def test_a_failing_half_fails_the_write(tmp_path, cpus, monkeypatch, where):
     net, traj = run_simulation(config_from_dict({"n": 3, "seed": 4, "steps": 9}))
-    forks = cpus(2)
+    forks = cpus(1 if where == "alone" else 2)
     write_rows = Trajectory._write_rows
     parent = os.getpid()
 
     def failing(self, fh, start, stop):
-        if (os.getpid() == parent) == (where == "parent"):
+        if (os.getpid() == parent) == (where != "child"):
             raise RuntimeError("formatter failed")
         write_rows(self, fh, start, stop)
 
@@ -479,5 +575,6 @@ def test_a_failing_half_fails_the_write(tmp_path, cpus, monkeypatch, where):
     raises = OSError if where == "child" else RuntimeError
     with pytest.raises(raises, match="status 1" if where == "child" else "formatter"):
         traj.write_csv(tmp_path / "trajectory.csv", net)
-    assert len(forks) == 1
+    assert len(forks) == (0 if where == "alone" else 1)
+    assert not (tmp_path / "trajectory.csv").exists()
     assert_no_leftovers(tmp_path)

@@ -440,19 +440,42 @@ def test_lean_trajectories_read_out_as_full_ones(kind):
     for trial, lt, ft in zip(trials, lean, full):
         assert lt.u.tobytes() == ft.u.tobytes()
         assert lt.theta.tobytes() == ft.theta.tobytes()
-        _assert_same_trials([readout(trial, net, lt)],
-                            [readout(trial, net, ft)])
+        _assert_same_trials([readout(trial, net, lt, lt.observables())],
+                            [readout(trial, net, ft, ft.observables())])
 
 
-def test_readout_features_derive_the_observables_of_their_mask():
+def test_readout_features_derive_the_observables_of_their_mask(monkeypatch):
+    # features gathered from the trial's shared X1/X2 equal those derived
+    # at just their rows and mask junctions
     cfg = config_from_dict(dict(_SMALL_DENSITY))
     net, traj = run_simulation(dataclasses.replace(cfg, steps=80))
     x1, x2 = reservoir_observables(traj.u, traj.theta)
     fdef = FeatureDef(TAG_A, np.array([7, 0, 4]))
     u = np.arange(30.0)
-    got = tasks._features(fdef, traj, slice(40, 70), u=u)
+    got = tasks._features(fdef, traj.observables(), slice(40, 70), u=u)
     want = assemble_matrix(fdef, x1[40:70, fdef.mask], x2[40:70, fdef.mask], u=u)
     assert got.tobytes() == want.tobytes()
+    # so do those of every readout of a sweep, two per trial
+    seen = []
+
+    def spy(fdef, x1, x2, **kwargs):
+        seen.append((fdef.mask, x1, x2))
+        return assemble_matrix(fdef, x1, x2, **kwargs)
+
+    monkeypatch.setattr(tasks, "assemble_matrix", spy)
+    for kind in _SMALL:
+        cfg = config_from_dict(dict(_SMALL[kind]))
+        net = build_lattice(cfg.n, cfg.link_length)
+        inputs, links, _ = tasks._plan(cfg, net)
+        steps, first = tasks._span(cfg)
+        trajs = tasks._simulate(cfg, net, range(cfg.trials), steps, inputs, links)
+        del seen[:]
+        sweep(cfg, "p", [0.4, 1.0])
+        assert len(seen) == 2 * cfg.trials
+        for i, (mask, x1, x2) in enumerate(seen):
+            want = trajs[i // 2].observables(slice(first, steps), mask)
+            assert x1.tobytes() == want[0].tobytes(), (kind, i)
+            assert x2.tobytes() == want[1].tobytes(), (kind, i)
 
 
 # --- one-shot simulation -------------------------------------------------------
