@@ -25,21 +25,33 @@ itself, and once on every CPU it may use, where with two or more it forks a
 child to format the second half. The two alternate over WRITE_ROUNDS rounds
 and the median is reported.
 
+--startup R times R fresh interpreters that run `import trafficrc.cli`,
+after one untimed run that fills the bytecode cache: the wall ms from spawn
+to exit and each child's peak RSS, read from the rusage that os.wait4
+returns for it (the per-child form of RUSAGE_CHILDREN, so children this
+process started before do not count). Every command pays this set-up before
+its first step. Reports the median and quartiles of the ms and the median
+peak RSS in MB.
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --agents-n 3,6,10 --density-n 5,10,20,40 --json out.json
     python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k 1,2,4
     python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k '' --write-steps 150
+    python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k '' --startup 20
 """
 
 import argparse
 import json
 import os
+import pathlib
 import platform
+import sys
 import tempfile
 import time
 
 import numpy as np
 
+import trafficrc
 from trafficrc.agents import AgentSim, init_agents
 from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict
@@ -117,6 +129,30 @@ def time_writer(steps):
     return out
 
 
+def time_startup(runs):
+    """Wall ms and peak RSS MB of `runs` fresh interpreters importing
+    trafficrc.cli (after one untimed run), from spawn to exit. Returns the
+    median and quartiles of the ms and the median peak RSS."""
+    src = str(pathlib.Path(trafficrc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", "import trafficrc.cli"]
+    ms, rss = [], []
+    for i in range(runs + 1):
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, argv, env)
+        _, status, usage = os.wait4(pid, 0)
+        elapsed = (time.perf_counter() - start) * 1e3
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError("import trafficrc.cli failed in a fresh interpreter")
+        if i > 0:
+            ms.append(elapsed)
+            rss.append(usage.ru_maxrss / 1024)   # ru_maxrss is in KiB on Linux
+    q1, med, q3 = np.percentile(ms, [25, 50, 75])
+    return {"ms": {"median": round(med, 2), "q1": round(q1, 2),
+                   "q3": round(q3, 2)},
+            "peak_rss_mb": round(float(np.median(rss)), 2)}
+
+
 def _sizes(text):
     return [int(v) for v in text.replace(",", " ").split()]
 
@@ -138,11 +174,22 @@ def main(argv=None):
                     help="untimed steps before timing")
     ap.add_argument("--write-steps", type=int, default=0,
                     help="rows of the timed n=40 trajectory.csv (0: skip)")
+    ap.add_argument("--startup", type=int, default=0,
+                    help="fresh interpreters timed importing trafficrc.cli "
+                         "(0: skip)")
     ap.add_argument("--json", help="also write the results to this file")
     args = ap.parse_args(argv)
 
     rows = {"agents": [], "density": [], "agents_union": [],
-            "density_union": [], "writer": []}
+            "density_union": [], "writer": [], "startup": []}
+    if args.startup > 0:
+        t = time_startup(args.startup)
+        rows["startup"].append({"runs": args.startup, **t})
+        print(f"{'startup':<8} {'runs':>4} {'ms':>9} {'q1':>9} {'q3':>9} "
+              f"{'rss_mb':>7}")
+        print(f"{'import':<8} {args.startup:>4} {t['ms']['median']:>9.1f} "
+              f"{t['ms']['q1']:>9.1f} {t['ms']['q3']:>9.1f} "
+              f"{t['peak_rss_mb']:>7.1f}\n")
     print(f"{'model':<8} {'n':>3} {'links':>6} {'ms/step':>9} "
           f"{'q1':>9} {'q3':>9} {'us/link':>8}")
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "TAG_A", "TAG_B", "TAG_A_PRIME", "FeatureDef", "ReadoutModel",
@@ -92,8 +91,9 @@ def ridge_fit(x, y, beta):
     """Ridge regression W = Y X^T (X X^T + beta I)^(-1).
 
     x: features (dim, steps); y: targets (steps,) or (outputs, steps). The
-    normal system is solved with a symmetric positive-definite factorization,
-    never an explicit inverse. beta=0 requires X X^T to be invertible.
+    normal system is solved with its Cholesky factor L (X X^T + beta I =
+    L L^T) and two solves, never an explicit inverse. beta=0 requires X X^T
+    to be invertible.
     """
     x = np.asarray(x, dtype=float)
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -110,7 +110,8 @@ def ridge_fit(x, y, beta):
     a[np.diag_indices_from(a)] += beta
     b = x @ y.T
     try:
-        z = scipy.linalg.solve(a, b, assume_a="pos")
+        low = np.linalg.cholesky(a)
+        z = np.linalg.solve(low.T, np.linalg.solve(low, b))
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "normal equations are singular; use beta > 0") from exc

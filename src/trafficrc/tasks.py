@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import io as _io
 from .agents import AgentSim, init_agents
@@ -55,7 +56,7 @@ STREAM_SERIES = 1000    # shared across trials, not per-trial
 
 def stream_rng(seed, trial, stream):
     """Independent generator for one purpose within one trial."""
-    return np.random.default_rng((int(seed), int(trial), int(stream)))
+    return default_rng((int(seed), int(trial), int(stream)))
 
 
 @dataclass
@@ -289,7 +290,7 @@ def _synth_series(cfg):
     sp = cfg.series_synth
     length = sp.length if sp.length is not None else _span(cfg)[0]
     return _io.synth_series(sp.kind, length,
-                            np.random.default_rng((cfg.seed, STREAM_SERIES)),
+                            default_rng((cfg.seed, STREAM_SERIES)),
                             amplitude=sp.amplitude, offset=sp.offset,
                             period=sp.period, rho=sp.rho, sigma=sp.sigma)
 
@@ -299,7 +300,13 @@ def _series_values(cfg, series, steps):
     if series is not None:
         key, values = None, np.asarray(series, dtype=float)
     elif cfg.series_csv is not None:
-        key, values = "series_csv", _io.read_series_csv(cfg.series_csv)
+        key = "series_csv"
+        try:
+            values = _io.read_series_csv(cfg.series_csv)
+        except OSError as exc:
+            raise _io.ConfigError(
+                f"config key 'series_csv': cannot read {cfg.series_csv!r}: "
+                f"{exc.strerror or exc}") from None
     else:
         key, values = "series_synth", _synth_series(cfg)
     if values.size < steps:
@@ -445,7 +452,8 @@ def sweep(cfg, param, values, series=None):
 
     The base seed is reused, so trials stay paired across values, and every
     value runs on one lattice: no sweep parameter changes it. Every value is
-    checked before the first simulation. Each trial is simulated once per
+    checked before the first simulation, and an M sweep is refused off the
+    agents model, whose readout alone reads M. Each trial is simulated once per
     distinct reservoir run and every value sharing that run is read out of
     it: p, M and beta never change the run, and on the density_link
     task a larger T only lengthens it, so the longest span serves every T.
@@ -463,6 +471,10 @@ def sweep(cfg, param, values, series=None):
         order.append(value)
         configs[value] = cfg_v
     # every value's config, and so every key of the base, is valid here
+    if param == "M" and cfg.model != "agents":
+        raise _io.ConfigError(
+            "config key 'M': only the agents model reads M; a sweep over it "
+            f"would repeat one result on the {cfg.model} model")
     net = build_lattice(cfg.n, cfg.link_length)
     plans = {v: (c, *_plan(c, net, series)) for v, c in configs.items()}
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")

@@ -5,12 +5,15 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import trafficrc
 from trafficrc.cli import main
 from trafficrc.io import (ConfigError, ExperimentConfig, _trial_series_csv,
                           config_from_dict, config_to_dict, load_config,
@@ -464,6 +467,18 @@ def test_cli_sweep_refuses_bad_values(tmp_path, capsys, param, values, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [{}, {"task": "external_series"}])
+def test_cli_sweep_refuses_m_off_the_agents_model(tmp_path, capsys, extra):
+    # only the agents readout reads M: every value would score the same
+    cfg = _write_cfg(tmp_path, **extra)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--param", "M", "--values", "3,4",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("config key 'M'") and "agents" in err
+    assert not out.exists()
+
+
 def test_cli_simulate_refuses_a_single_junction_density_lattice(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, n=1)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
@@ -493,6 +508,18 @@ def test_cli_task2_refuses_a_short_series_naming_its_key(tmp_path, capsys):
                  "--out", str(tmp_path / "b")]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err.startswith("config key 'series_csv'") and "needs 102" in err
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("missing.csv", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_cli_task2_names_an_unreadable_series_file(tmp_path, capsys, name, reason):
+    spath = str(tmp_path / name)
+    assert main(["task2", "--config", _write_cfg(tmp_path), "--series", spath,
+                 "--out", str(tmp_path / "t2")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"config key 'series_csv': cannot read {spath!r}: {reason}"
 
 
 def test_cli_synth(tmp_path):
@@ -543,3 +570,27 @@ def test_cli_out_env_root(tmp_path, capsys, monkeypatch):
     printed = capsys.readouterr().out.strip()
     assert printed == str(tmp_path / "root" / "synth")
     assert (tmp_path / "root" / "synth" / "series.csv").exists()
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+from trafficrc.cli import main
+cfg, out = sys.argv[1:]
+for args in (["simulate", "--steps", "30"],
+             ["sweep", "--param", "p", "--values", "0.5,1.0"], ["task2"]):
+    if main([*args, "--config", cfg, "--out", f"{out}/{args[0]}"]) != 0:
+        sys.exit(f"{args[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # numpy is the only run-time dependency: simulate, a readout sweep and
+    # the external-series task all run without loading any scipy module
+    src = pathlib.Path(trafficrc.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, _write_cfg(tmp_path), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,12 +1,19 @@
 """Feature assembly, ridge regression, scoring."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from trafficrc import tasks
+from trafficrc.io import config_from_dict
 from trafficrc.readout import (TAG_A, TAG_A_PRIME, TAG_B, FeatureDef,
                                assemble_matrix, log_nrmse, predict, ridge_fit)
+
+_RECIPES = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def assemble_features(fdef, x1, x2, u=None, k_hist=None):
@@ -131,6 +138,62 @@ def test_singular_system_without_regularization_raises():
         ridge_fit(x, y, 0.0)
     model = ridge_fit(x, y, 1e-6)  # regularized solve succeeds
     assert np.all(np.isfinite(model.weights))
+
+
+def assert_matches_scipy_solve(x, y, beta):
+    """ridge_fit against the scipy SPD solve of the same normal equations.
+
+    Where the Gram matrix has cond <= 1e6 the weights agree to 1e-9
+    relative; past that, conditioning lets the weights move, so the ridge
+    objective ||y - w X||^2 + beta ||w||^2 is compared instead."""
+    y = np.atleast_2d(y)
+    a = x @ x.T + beta * np.eye(x.shape[0])
+    w_ref = scipy.linalg.solve(a, x @ y.T, assume_a="pos").T
+    w = ridge_fit(x, y, beta).weights
+
+    def objective(w):
+        return np.sum((y - w @ x) ** 2) + beta * np.sum(w ** 2)
+
+    if np.linalg.cond(a) <= 1e6:
+        assert np.max(np.abs(w - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
+    assert objective(w) == pytest.approx(objective(w_ref), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ridge_matches_scipy_on_random_spd_systems(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 40))
+    x = rng.standard_normal((dim, int(rng.integers(dim + 1, 400))))
+    y = rng.standard_normal((int(rng.integers(1, 4)), x.shape[1]))
+    assert_matches_scipy_solve(x, y, [0.0, 1e-8, 1e-3, 1.0][seed % 4])
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_ridge_matches_scipy_on_a_p_sweep_trial(monkeypatch, p):
+    # the normal equations of one trial of the shipped p-sweep recipe
+    systems = []
+
+    def spy(x, y, beta):
+        systems.append((x, y, beta))
+        return ridge_fit(x, y, beta)
+
+    monkeypatch.setattr(tasks, "ridge_fit", spy)
+    recipe = json.loads((_RECIPES / "density_link_p_sweep.json").read_text())
+    tasks.run_experiment(config_from_dict(dict(recipe, trials=1, p=p)))
+    (x, y, beta), = systems
+    assert_matches_scipy_solve(x, y, beta)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("seed", range(3))
+def test_ridge_matches_scipy_on_near_collinear_features(seed, delta):
+    # a bias row and a column that is nearly the sum of the others, as
+    # X1 + X2 summed over every junction is nearly the conserved mass:
+    # cond of the Gram matrix reaches about 1e13 at delta = 1e-6
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((6, 400)) + 3.0
+    x = np.vstack([np.ones(400), f, f.sum(axis=0) + delta * rng.standard_normal(400)])
+    assert_matches_scipy_solve(x, rng.standard_normal(400) + f[0], 1e-8)
 
 
 def test_fit_and_predict_validation():

@@ -312,7 +312,7 @@ def _assert_same_trials(got, want):
 
 @pytest.mark.parametrize("kind,param,values", [
     ("density", "p", [0.3, 1.0, 0.6]),
-    ("density", "M", [3, 5]),
+    ("density", "tau", [40.0, 100.0]),
     ("density", "beta", [1e-8, 1e-2]),
     ("density", "T", [4, 1, 2]),
     ("agents", "p", [0.5, 1.0]),
@@ -350,7 +350,6 @@ def sim_runs(monkeypatch):
     ("agents", "p", [0.5, 1.0]),
     ("agents", "beta", [1e-8, 1e-2]),
     ("series", "p", [0.5, 1.0]),
-    ("series", "M", [1, 2]),
 ])
 def test_readout_sweeps_simulate_each_trial_once(sim_runs, kind, param, values):
     cfg = config_from_dict(dict(_SMALL[kind]))
