@@ -134,7 +134,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--trials", type=int, help="override the trial count")
     p.add_argument("--param", required=True,
-                   help="parameter to sweep: p, M, T, beta, or tau")
+                   help="parameter to sweep: " + ", ".join(tasks._SWEEP_PARAMS))
     p.add_argument("--values", required=True,
                    help="comma- or space-separated parameter values")
     p.add_argument("--series", help="external series CSV for task2 configs")

@@ -24,7 +24,6 @@ OUT_ENV = "TRAFFICRC_OUT"  # overrides the default output root ("runs")
 
 _MODELS = ("density", "agents")
 _TASKS = ("density_link", "external_series")
-_PHASE_MODES = ("constant-rate", "literal")
 _INITS = ("uniform", "random")
 _SYNTH_KINDS = ("sinusoid", "sinusoid+ar1")
 
@@ -64,7 +63,6 @@ class ExperimentConfig:
     agents_per_link: int = 10
     turn_weights: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     tau: object = 100.0          # scalar or per-junction tuple
-    phase_mode: str = "constant-rate"
     T: int = 5
     beta: float = 1e-8
     p: float = 1.0
@@ -181,8 +179,6 @@ def validate_config(cfg):
                  "must be finite and positive")
     else:
         _require(_is_finite(cfg.tau) and cfg.tau > 0, "tau", "must be finite and positive")
-    _require(cfg.phase_mode in _PHASE_MODES, "phase_mode",
-             f"must be one of {_PHASE_MODES}")
     _require(_is_int(cfg.T) and cfg.T >= 0, "T", "must be a nonnegative integer")
     _require(_is_finite(cfg.beta) and cfg.beta >= 0, "beta",
              "must be finite and nonnegative")

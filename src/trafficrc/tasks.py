@@ -124,7 +124,7 @@ def _phase_bank(cfg, rng_phase, rng_input=None):
     win = None
     if rng_input is not None:
         win = rng_input.uniform(-cfg.sigma_in, cfg.sigma_in, nj)
-    return PhaseBank(tau, xi, mode=cfg.phase_mode, win=win, ns_stop_first=nsf)
+    return PhaseBank(tau, xi, win=win, ns_stop_first=nsf)
 
 
 def _span(cfg):
@@ -452,23 +452,26 @@ def sweep(cfg, param, values, series=None):
 
     The base seed is reused, so trials stay paired across values, and every
     value runs on one lattice: no sweep parameter changes it. Every value is
-    checked before the first simulation, and an M sweep is refused off the
-    agents model, whose readout alone reads M. Each trial is simulated once per
-    distinct reservoir run and every value sharing that run is read out of
-    it: p, M and beta never change the run, and on the density_link
-    task a larger T only lengthens it, so the longest span serves every T.
+    checked before the first simulation; a value given twice is refused, and
+    so is an M sweep off the agents model, whose readout alone reads M. Each
+    trial is simulated once per distinct reservoir run and every value
+    sharing that run is read out of it: p, M and beta never change the run,
+    and on the density_link task a larger T only lengthens it, so the
+    longest span serves every T.
     """
     if param not in _SWEEP_PARAMS:
         raise _io.ConfigError(
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMS)}")
     if not values:
         raise _io.ConfigError(f"config key {param!r}: no sweep values given")
-    order, configs = [], {}
+    configs = {}
     for raw in values:
         value = _sweep_value(param, raw)
+        if value in configs:
+            raise _io.ConfigError(
+                f"config key {param!r}: sweep value {value!r} is given twice")
         cfg_v = dataclasses.replace(cfg, **{param: value})
         _io.validate_config(cfg_v)
-        order.append(value)
         configs[value] = cfg_v
     # every value's config, and so every key of the base, is valid here
     if param == "M" and cfg.model != "agents":
@@ -479,7 +482,7 @@ def sweep(cfg, param, values, series=None):
     plans = {v: (c, *_plan(c, net, series)) for v, c in configs.items()}
     shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
     by_value = _run(cfg, net, plans, shared)
-    rows = [dict(summarize(by_value[v]), value=v) for v in order if by_value[v]]
+    rows = [dict(summarize(by_value[v]), value=v) for v in configs if by_value[v]]
     return SweepResult(param, by_value, rows)
 
 

@@ -12,8 +12,7 @@ from trafficrc import kernels
 from trafficrc.agents import (AgentSim, AgentState, OVParams,
                               agent_link_densities, init_agents)
 from trafficrc.lattice import assign_turn_table, build_lattice
-from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
-                               PhaseBank, link_go)
+from trafficrc.signals import TWO_PI, PhaseBank, link_go
 
 
 # --- optimal velocity function -----------------------------------------------
@@ -495,7 +494,7 @@ def test_transfers_match_full_resort_on_random_lattices(seed, n, d_min, dt):
 
 # --- disjoint unions of blocks vs solo runs ----------------------------------
 
-def random_block(rng, n, params, mode, empty=False):
+def random_block(rng, n, params, empty=False):
     """Network, turn table, phase bank (per-junction tau and stop
     convention) and agents of one random block."""
     n_links = 4 * n * (n - 1)
@@ -506,7 +505,7 @@ def random_block(rng, n, params, mode, empty=False):
     table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
     nj = net.n_junctions
     bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
-                     mode=mode, ns_stop_first=rng.uniform(size=nj) < 0.5)
+                     ns_stop_first=rng.uniform(size=nj) < 0.5)
     state = init_agents(net, table, rng, per_link=counts, params=params)
     return net, table, bank, state
 
@@ -515,12 +514,11 @@ def random_block(rng, n, params, mode, empty=False):
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(2, 4),
        d_min=st.sampled_from([0.0, 0.05, 0.1]),
        dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
-       mode=st.sampled_from([MODE_CONSTANT_RATE, MODE_LITERAL]),
        empty=st.integers(-1, 3))
-def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, mode, empty):
+def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, empty):
     rng = np.random.default_rng(seed)
     p = OVParams(dt=dt, d_min=d_min)
-    blocks = [random_block(rng, n, p, mode, empty=b == empty) for b in range(k)]
+    blocks = [random_block(rng, n, p, empty=b == empty) for b in range(k)]
 
     def sims():
         return [AgentSim(net, table, copy.deepcopy(bank), state.copy(), p,
@@ -556,7 +554,7 @@ def test_split_runs_equal_one_run(k):
     # run(a) then run(b) resumes the clock, phases, agents and rngs
     rng = np.random.default_rng(16)
     p = OVParams(dt=0.25)
-    blocks = [random_block(rng, 2, p, MODE_CONSTANT_RATE) for _ in range(k)]
+    blocks = [random_block(rng, 2, p) for _ in range(k)]
     inputs = rng.normal(size=30)
 
     def sim():
@@ -582,8 +580,7 @@ def test_split_runs_equal_one_run(k):
 
 
 def test_union_refuses_blocks_out_of_step():
-    net, table, bank, state = random_block(np.random.default_rng(15), 2,
-                                           OVParams(), MODE_CONSTANT_RATE)
+    net, table, bank, state = random_block(np.random.default_rng(15), 2, OVParams())
 
     def sim(params):
         return AgentSim(net, table, bank.copy(), state.copy(), params,

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trafficrc
+from trafficrc import tasks
 from trafficrc.cli import main
 from trafficrc.io import (ConfigError, ExperimentConfig, _trial_series_csv,
                           config_from_dict, config_to_dict, load_config,
@@ -179,6 +180,19 @@ def test_load_config_and_manifest_unwrap(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="root"):
         load_config(bad)
+
+
+def test_the_dropped_phase_mode_key_is_refused(tmp_path):
+    # manifests written before the one phase law carry the key
+    old = dict(config_to_dict(config_from_dict({"n": 3})),
+               phase_mode="constant-rate")
+    with pytest.raises(ConfigError, match="phase_mode"):
+        config_from_dict(old)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"artifact": "trafficrc",
+                                    "resolved_config": old}))
+    with pytest.raises(ConfigError, match="phase_mode"):
+        load_config(manifest)
 
 
 def test_config_error_is_value_error():
@@ -450,6 +464,18 @@ def test_cli_sweep_with_every_road_monitored_writes_no_plot(tmp_path):
     assert not (out / "sweep.svg").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sweep.svg" not in manifest["outputs"]
+
+
+def test_cli_sweep_help_names_every_sweep_param(capsys, monkeypatch):
+    def help_text():
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    assert "parameter to sweep: " + ", ".join(tasks._SWEEP_PARAMS) in help_text()
+    # the help follows the list, so a new entry needs no second edit
+    monkeypatch.setattr(tasks, "_SWEEP_PARAMS", ("p", "sigma_in"))
+    assert "parameter to sweep: p, sigma_in" in help_text()
 
 
 @pytest.mark.parametrize("param,values,error", [

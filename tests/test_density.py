@@ -13,8 +13,7 @@ from trafficrc.agents import AgentSim, OVParams, init_agents
 from trafficrc.density import DensitySim, Trajectory, init_density
 from trafficrc.io import config_from_dict
 from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
-from trafficrc.signals import (MODE_CONSTANT_RATE, MODE_LITERAL, TWO_PI,
-                               PhaseBank, link_go)
+from trafficrc.signals import TWO_PI, PhaseBank, link_go
 from trafficrc.tasks import _simulate, run_simulation
 
 
@@ -329,7 +328,7 @@ def test_non_finite_input_is_refused_before_the_first_step(monkeypatch):
 
 # --- disjoint unions of blocks vs solo runs ----------------------------------
 
-def random_block(rng, n, mode, with_input):
+def random_block(rng, n, with_input):
     """Network (some links shorter than 1), turn table, phase bank
     (per-junction tau and stop convention, input weights if asked) and
     contents of one random block."""
@@ -338,7 +337,6 @@ def random_block(rng, n, mode, with_input):
     table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
     nj = net.n_junctions
     bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
-                     mode=mode,
                      win=rng.uniform(-0.5, 0.5, nj) if with_input else None,
                      ns_stop_first=rng.uniform(size=nj) < 0.5)
     return net, table, bank, init_density(net, float(n_links), rng)
@@ -351,12 +349,11 @@ def block_sims(blocks):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(2, 4),
-       mode=st.sampled_from([MODE_CONSTANT_RATE, MODE_LITERAL]),
        with_input=st.booleans(), lean=st.booleans())
-def test_density_union_blocks_match_their_solo_runs(seed, k, n, mode,
-                                                    with_input, lean):
+def test_density_union_blocks_match_their_solo_runs(seed, k, n, with_input,
+                                                    lean):
     rng = np.random.default_rng(seed)
-    blocks = [random_block(rng, n, mode, with_input) for _ in range(k)]
+    blocks = [random_block(rng, n, with_input) for _ in range(k)]
     steps = 60
     inputs = rng.normal(size=steps) if with_input else None
     n_links = 4 * n * (n - 1)
@@ -387,7 +384,7 @@ def test_density_union_blocks_match_their_solo_runs(seed, k, n, mode,
 def test_density_union_split_runs_equal_one_run():
     # run(a) then run(b) resumes the clock, the phases and the content
     rng = np.random.default_rng(17)
-    blocks = [random_block(rng, 3, MODE_LITERAL, True) for _ in range(3)]
+    blocks = [random_block(rng, 3, True) for _ in range(3)]
     inputs = rng.normal(size=90)
     whole = DensitySim.union(block_sims(blocks))
     parts = DensitySim.union(block_sims(blocks))

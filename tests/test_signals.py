@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficrc.lattice import build_lattice
-from trafficrc.signals import (TWO_PI, MODE_CONSTANT_RATE, MODE_LITERAL,
-                               PhaseBank, link_go, reservoir_observables)
+from trafficrc.signals import TWO_PI, PhaseBank, link_go, reservoir_observables
 
 
-def random_bank(n, rng, tau=100.0, mode=MODE_CONSTANT_RATE, sigma_in=None,
-                ns_stop_first=True):
+def random_bank(n, rng, tau=100.0, sigma_in=None, ns_stop_first=True):
     """Offsets xi ~ U[0, 2*pi); input weights win ~ U[-sigma_in, sigma_in]."""
     xi = rng.uniform(0.0, TWO_PI, n)
     win = None if sigma_in is None else rng.uniform(-sigma_in, sigma_in, n)
-    return PhaseBank(tau, xi, mode=mode, win=win, ns_stop_first=ns_stop_first)
+    return PhaseBank(tau, xi, win=win, ns_stop_first=ns_stop_first)
 
 
 def test_constant_rate_matches_closed_form_bitwise():
@@ -29,18 +27,6 @@ def test_constant_rate_matches_closed_form_bitwise():
         bank.step(t)
     # the closed form is evaluated, not accumulated, so this is exact
     assert np.array_equal(bank.theta, xi + TWO_PI * 1000.0 / tau)
-
-
-def test_literal_mode_accumulates_growing_increments():
-    xi, tau = 0.1, 100.0
-    bank = PhaseBank(tau, xi, mode=MODE_LITERAL)
-    assert bank.theta[0] == 0.0
-    steps = 57
-    for t in range(steps):
-        bank.step(t)
-    # sum_{t=0}^{steps-1} (2 pi t / tau + xi)
-    expected = xi * steps + TWO_PI * steps * (steps - 1) / (2.0 * tau)
-    assert bank.theta[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_input_weights_do_not_change_the_phase():
@@ -68,15 +54,6 @@ def test_input_shifts_constant_rate_phase_permanently():
     assert np.allclose(bank.theta - ref.theta, win * 3.0, atol=1e-15)
 
 
-def test_literal_mode_injects_into_the_increment():
-    win = np.array([0.5])
-    bank = PhaseBank(100.0, [0.2], mode=MODE_LITERAL, win=win)
-    ref = PhaseBank(100.0, [0.2], mode=MODE_LITERAL)
-    bank.step(0, u_ext=3.0)
-    ref.step(0)
-    assert bank.theta[0] - ref.theta[0] == pytest.approx(1.5, abs=1e-15)
-
-
 def test_input_validation():
     bank = PhaseBank(100.0, [0.0])
     with pytest.raises(ValueError):
@@ -86,8 +63,14 @@ def test_input_validation():
         wired.step(0, u_ext=float("nan"))
     with pytest.raises(ValueError):
         PhaseBank(0.0, [0.0])
-    with pytest.raises(ValueError):
-        PhaseBank(100.0, [0.0], mode="warp")
+    # NaN passes a plain `tau <= 0` check, and inf tau freezes the signals
+    for tau, xi in [(np.nan, [0.1, 0.2]), (np.inf, [0.1, 0.2]),
+                    ([100.0, np.nan], [0.1, 0.2])]:
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            PhaseBank(tau, xi)
+    for xi in ([0.1, np.nan], [np.inf, 0.2]):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            PhaseBank(100.0, xi)
 
 
 def test_copy_is_independent():
@@ -99,11 +82,10 @@ def test_copy_is_independent():
 
 # --- go/stop mapping ---------------------------------------------------------
 
-@pytest.mark.parametrize("mode", [MODE_CONSTANT_RATE, MODE_LITERAL])
-def test_concatenated_banks_step_as_their_parts(mode):
+def test_concatenated_banks_step_as_their_parts():
     rng = np.random.default_rng(12)
-    parts = [random_bank(n, rng, tau=rng.uniform(5.0, 60.0), mode=mode,
-                         sigma_in=0.5, ns_stop_first=rng.uniform(size=n) < 0.5)
+    parts = [random_bank(n, rng, tau=rng.uniform(5.0, 60.0), sigma_in=0.5,
+                         ns_stop_first=rng.uniform(size=n) < 0.5)
              for n in (4, 1, 9)]
     parts[0].step(0, 0.7)   # a bank already under way keeps its state
     for b in parts[1:]:
@@ -122,8 +104,6 @@ def test_concatenated_banks_step_as_their_parts(mode):
 
 def test_concat_refuses_mixed_banks():
     a = PhaseBank(10.0, np.zeros(2))
-    with pytest.raises(ValueError, match="mode"):
-        PhaseBank.concat([a, PhaseBank(10.0, np.zeros(2), mode=MODE_LITERAL)])
     with pytest.raises(ValueError, match="input"):
         PhaseBank.concat([a, PhaseBank(10.0, np.zeros(2), win=np.ones(2))])
 
@@ -204,14 +184,13 @@ def test_link_go_selects_each_links_axis_state():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
-       mode=st.sampled_from([MODE_CONSTANT_RATE, MODE_LITERAL]),
        with_input=st.booleans(), per_junction_tau=st.booleans(),
        t0=st.integers(0, 300), steps=st.integers(0, 400))
-def test_schedule_matches_stepping_bitwise(seed, n, mode, with_input,
+def test_schedule_matches_stepping_bitwise(seed, n, with_input,
                                            per_junction_tau, t0, steps):
     rng = np.random.default_rng(seed)
     tau = rng.uniform(3.0, 200.0, n) if per_junction_tau else rng.uniform(3.0, 200.0)
-    bank = random_bank(n, rng, tau=tau, mode=mode,
+    bank = random_bank(n, rng, tau=tau,
                        sigma_in=rng.uniform(0.01, 2.0) if with_input else None,
                        ns_stop_first=rng.uniform(size=n) < 0.5)
     inputs = rng.normal(size=t0 + steps) if with_input else None
@@ -232,9 +211,8 @@ def test_schedule_matches_stepping_bitwise(seed, n, mode, with_input,
     assert more[0].tobytes() == ref.theta.tobytes()
 
 
-@pytest.mark.parametrize("mode", [MODE_CONSTANT_RATE, MODE_LITERAL])
-def test_schedule_refuses_bad_input_before_moving(mode):
-    wired = PhaseBank(100.0, [0.1, 0.2], mode=mode, win=[0.3, 0.4])
+def test_schedule_refuses_bad_input_before_moving():
+    wired = PhaseBank(100.0, [0.1, 0.2], win=[0.3, 0.4])
     wired.step(0, 1.0)
     theta, acc = wired.theta.copy(), wired._input_acc.copy()
     bad = np.r_[np.ones(9), np.nan]
@@ -244,7 +222,7 @@ def test_schedule_refuses_bad_input_before_moving(mode):
         wired.schedule(1, 10, np.ones(10))
     assert np.array_equal(wired.theta, theta)
     assert np.array_equal(wired._input_acc, acc)
-    plain = PhaseBank(100.0, [0.1], mode=mode)
+    plain = PhaseBank(100.0, [0.1])
     with pytest.raises(ValueError, match="requires configured input weights"):
         plain.schedule(0, 3, np.ones(3))
     # input used only up to the run's end may hold anything past it

@@ -394,6 +394,9 @@ def test_agents_batches_match_solo_trials_with_a_partial_last_batch(
     ("agents", "M", [3, 9], "'M'"),
     ("density", "p", [0.5, 1.5], "'p'"),
     ("density", "T", [2, 2.5], "'T'"),
+    # a repeated value would show its summary row twice in summary.csv
+    ("density", "p", ["0.5", "0.5", "1"], "'p': sweep value 0.5 is given twice"),
+    ("density", "T", ["3", "3.0"], "'T': sweep value 3 is given twice"),
 ])
 def test_sweep_rejects_bad_values_before_simulating(sim_runs, kind, param, values,
                                                     key):
