@@ -69,7 +69,7 @@ def build_sim(model, n, seed=7):
         state = init_agents(net, table, rng, per_link=cfg.agents_per_link,
                             params=cfg.ov)
         return AgentSim(net, table, bank, state, cfg.ov, rng)
-    q0 = init_density(net, cfg.total_vehicles, rng, how=cfg.init)
+    q0 = init_density(net, cfg.total_vehicles, rng)
     return DensitySim(net, table, bank, q0)
 
 

@@ -57,11 +57,6 @@ class OVParams:
         """Euler substeps per reservoir step (one time unit)."""
         return max(1, int(round(1.0 / self.dt)))
 
-    @property
-    def v_sup(self):
-        """Supremum of the optimal-velocity function."""
-        return 0.5 * self.v_scale * (1.0 + math.tanh(self.c / self.w))
-
 
 class AgentState:
     """Flat agent arrays, kept sorted by (link id, position ascending).

@@ -41,10 +41,9 @@ class Trajectory:
     def steps(self):
         return self.u.shape[0]
 
-    def observables(self, rows=slice(None), junctions=slice(None)):
-        """(X1, X2) at the given rows and junctions, each (rows, junctions)."""
-        return reservoir_observables(self.u[rows, junctions],
-                                     self.theta[rows, junctions])
+    def observables(self, rows=slice(None)):
+        """(X1, X2) at the given rows, each (rows, n_junctions)."""
+        return reservoir_observables(self.u[rows], self.theta[rows])
 
     def density(self, link):
         """The stored density series of one link, (steps,)."""
@@ -150,10 +149,9 @@ def _child_write(traj, path, start, stop):
         os._exit(code)
 
 
-def init_density(net, total_vehicles, rng=None, how="random"):
-    """Distribute total vehicle mass over links.
+def init_density(net, total_vehicles, rng):
+    """Distribute total vehicle mass over links by one flat Dirichlet split.
 
-    how="uniform" splits evenly; how="random" draws one flat Dirichlet split.
     The total is conserved exactly up to float rounding.
     """
     if net.n_links == 0:
@@ -161,13 +159,7 @@ def init_density(net, total_vehicles, rng=None, how="random"):
     total = float(total_vehicles)
     if not total > 0:
         raise ValueError("total_vehicles must be positive")
-    if how == "uniform":
-        return np.full(net.n_links, total / net.n_links)
-    if how == "random":
-        if rng is None:
-            raise ValueError('init "random" requires an rng')
-        return rng.dirichlet(np.ones(net.n_links)) * total
-    raise ValueError(f"unknown init mode {how!r}")
+    return rng.dirichlet(np.ones(net.n_links)) * total
 
 
 # bytes of step densities that _Reservoir.run buffers between two recordings
@@ -261,7 +253,7 @@ class _Reservoir:
         net = self.net
         t0 = self.t
         theta = self.bank.schedule(t0, steps, inputs)
-        go = link_go(theta, self.bank.ns_stop_first, net)
+        go = link_go(theta, net)
         cols = slice(None) if links is None else (
             self._link_off[:-1, None] + np.asarray(links, dtype=np.int64)).ravel()
         nl, nj = net.n_links, net.n_junctions

@@ -24,7 +24,6 @@ OUT_ENV = "TRAFFICRC_OUT"  # overrides the default output root ("runs")
 
 _MODELS = ("density", "agents")
 _TASKS = ("density_link", "external_series")
-_INITS = ("uniform", "random")
 _SYNTH_KINDS = ("sinusoid", "sinusoid+ar1")
 
 
@@ -59,10 +58,9 @@ class ExperimentConfig:
     n: int = 5
     link_length: float = 1.0
     total_vehicles: float = 80.0
-    init: str = "random"
     agents_per_link: int = 10
     turn_weights: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    tau: object = 100.0          # scalar or per-junction tuple
+    tau: float = 100.0
     T: int = 5
     beta: float = 1e-8
     p: float = 1.0
@@ -79,7 +77,6 @@ class ExperimentConfig:
     trial_average: int = 5
     steps: int | None = None
     ov: OVParams = OVParams()
-    ns_stop_first: object = True  # bool or per-junction tuple
     task2_feature: str = "b"
 
     @property
@@ -132,9 +129,6 @@ def _build_config(data):
     for key in ("turn_weights", "target_link"):
         if key in values and isinstance(values[key], list):
             values[key] = tuple(values[key])
-    for key in ("tau", "ns_stop_first"):
-        if key in values and isinstance(values[key], list):
-            values[key] = tuple(values[key])
     values = {k: v for k, v in values.items() if v is not None or
               k in ("target_link", "series_csv", "steps")}
 
@@ -162,7 +156,6 @@ def validate_config(cfg):
              "link_length", "must be finite and positive")
     _require(_is_finite(cfg.total_vehicles) and cfg.total_vehicles > 0,
              "total_vehicles", "must be finite and positive")
-    _require(cfg.init in _INITS, "init", f"must be one of {_INITS}")
     _require(_is_int(cfg.agents_per_link) and cfg.agents_per_link >= 0,
              "agents_per_link", "must be a nonnegative integer")
     tw = cfg.turn_weights
@@ -172,13 +165,8 @@ def validate_config(cfg):
              "entries must be finite numbers")
     _require(all(v >= 0 for v in tw) and abs(sum(tw) - 1.0) <= 1e-12,
              "turn_weights", "must be nonnegative and sum to 1")
-    if isinstance(cfg.tau, tuple):
-        _require(len(cfg.tau) == cfg.n * cfg.n, "tau",
-                 "per-junction list must have n*n entries")
-        _require(all(_is_finite(v) and v > 0 for v in cfg.tau), "tau",
-                 "must be finite and positive")
-    else:
-        _require(_is_finite(cfg.tau) and cfg.tau > 0, "tau", "must be finite and positive")
+    _require(_is_finite(cfg.tau) and cfg.tau > 0, "tau",
+             "must be a finite positive number")
     _require(_is_int(cfg.T) and cfg.T >= 0, "T", "must be a nonnegative integer")
     _require(_is_finite(cfg.beta) and cfg.beta >= 0, "beta",
              "must be finite and nonnegative")
@@ -223,14 +211,6 @@ def validate_config(cfg):
              "trial_average", "must be >= 1")
     if cfg.steps is not None:
         _require(_is_int(cfg.steps) and cfg.steps >= 1, "steps", "must be >= 1")
-    if isinstance(cfg.ns_stop_first, tuple):
-        _require(len(cfg.ns_stop_first) == cfg.n * cfg.n, "ns_stop_first",
-                 "per-junction list must have n*n entries")
-        _require(all(isinstance(v, bool) for v in cfg.ns_stop_first),
-                 "ns_stop_first", "entries must be booleans")
-    else:
-        _require(isinstance(cfg.ns_stop_first, bool), "ns_stop_first",
-                 "must be a boolean or per-junction list")
     _require(cfg.task2_feature in ("a", "b"), "task2_feature",
              'must be "a" or "b"')
     return cfg

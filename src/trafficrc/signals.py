@@ -22,7 +22,7 @@ class PhaseBank:
     simulation loop; hand copies to anything else.
     """
 
-    def __init__(self, tau, xi, win=None, ns_stop_first=True):
+    def __init__(self, tau, xi, win=None):
         xi = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
         if xi.ndim != 1:
             raise ValueError("xi must be one-dimensional")
@@ -36,8 +36,8 @@ class PhaseBank:
         self.win = None
         if win is not None:
             self.win = np.broadcast_to(np.asarray(win, dtype=float), xi.shape).copy()
-        self.ns_stop_first = np.broadcast_to(
-            np.asarray(ns_stop_first, dtype=bool), xi.shape).copy()
+            if not np.all(np.isfinite(self.win)):
+                raise ValueError("input weights must be finite")
         self.theta = xi.copy()
         self._input_acc = np.zeros_like(xi)
 
@@ -96,9 +96,9 @@ class PhaseBank:
         """One bank holding `banks` side by side, in their current state.
 
         Bank b's junctions follow those of banks 0..b-1 and keep their own
-        tau, xi, input weights, stop convention and phase. Every update is
-        elementwise, so each slice steps exactly as its bank would. Either
-        all banks have input weights or none.
+        tau, xi, input weights and phase. Every update is elementwise, so
+        each slice steps exactly as its bank would. Either all banks have
+        input weights or none.
         """
         first = banks[0]
         if any((b.win is None) != (first.win is None) for b in banks):
@@ -108,15 +108,10 @@ class PhaseBank:
             return np.concatenate([getattr(b, name) for b in banks])
 
         out = cls(cat("tau"), cat("xi"),
-                  win=None if first.win is None else cat("win"),
-                  ns_stop_first=cat("ns_stop_first"))
+                  win=None if first.win is None else cat("win"))
         out.theta = cat("theta")
         out._input_acc = cat("_input_acc")
         return out
-
-
-def _ns_go(theta, ns_stop_first):
-    return (np.mod(theta, TWO_PI) < np.pi) ^ ns_stop_first
 
 
 def reservoir_observables(u, theta):
@@ -131,13 +126,14 @@ def reservoir_observables(u, theta):
     return u * c * c, u * s * s
 
 
-def link_go(theta, ns_stop_first, net):
+def link_go(theta, net):
     """Per-link gate from junction phases theta (..., n_junctions): True
     where the link's axis shows go at its destination junction.
 
     In the first half period (0 <= mod(theta, 2*pi) < pi) the north-south
-    axis stops and east-west goes; the rest of the period is reversed, and
-    ns_stop_first=False swaps the convention per junction.
+    axis stops and east-west goes; the rest of the period is reversed. A
+    junction's offset xi sets where in the period it starts.
     """
-    # one gather of the junctions' NS state; EW links take its complement
-    return _ns_go(theta, ns_stop_first)[..., net.link_to] ^ ~net.link_axis_ns
+    # one gather of the junctions' first-half state; NS links take its
+    # complement
+    return (np.mod(theta, TWO_PI) < np.pi)[..., net.link_to] ^ net.link_axis_ns

@@ -65,8 +65,7 @@ class TrialResult:
 
     teacher/predicted hold the test segment, 1-d for single-output tasks and
     (outputs, steps) otherwise; t0 is the absolute time of the first test
-    step. per_output holds single-output scores for multi-output tasks
-    (None where a component teacher is constant on the test window).
+    step.
     """
     trial: int
     seed: int
@@ -75,7 +74,6 @@ class TrialResult:
     teacher: np.ndarray
     predicted: np.ndarray
     t0: int
-    per_output: tuple | None = None
 
 
 @dataclass
@@ -117,14 +115,10 @@ def default_target_link(net):
 def _phase_bank(cfg, rng_phase, rng_input=None):
     nj = cfg.n * cfg.n
     xi = rng_phase.uniform(0.0, TWO_PI, nj)
-    tau = np.asarray(cfg.tau, dtype=float) if isinstance(cfg.tau, tuple) \
-        else float(cfg.tau)
-    nsf = np.asarray(cfg.ns_stop_first, dtype=bool) \
-        if isinstance(cfg.ns_stop_first, tuple) else bool(cfg.ns_stop_first)
     win = None
     if rng_input is not None:
         win = rng_input.uniform(-cfg.sigma_in, cfg.sigma_in, nj)
-    return PhaseBank(tau, xi, win=win, ns_stop_first=nsf)
+    return PhaseBank(cfg.tau, xi, win=win)
 
 
 def _span(cfg):
@@ -161,7 +155,8 @@ def lag_diagnostic(y, y_hat, max_lag):
 
 def _score(cfg, trial, x, teacher):
     """Fit on the training steps, score the test steps of teacher (1-d, or
-    (outputs, steps)); the lag is taken on the first non-constant output."""
+    (outputs, steps)); the lag is the first one defined on a non-constant
+    output."""
     tr = cfg.train
     model = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta)
     pred = predict(model, x[:, tr:])
@@ -173,17 +168,16 @@ def _score(cfg, trial, x, teacher):
         lag = lag_diagnostic(test, pred[0], max_lag)
         return TrialResult(trial, cfg.seed, score, lag, test.copy(),
                            pred[0].copy(), t0)
-    per_output, lag = [], None
+    lag = None
     for i in range(test.shape[0]):
         try:
-            per_output.append(log_nrmse(test[i:i + 1], pred[i:i + 1]))
+            log_nrmse(test[i:i + 1], pred[i:i + 1])
         except ValueError:
-            per_output.append(None)
-            continue
-        if lag is None:
-            lag = lag_diagnostic(test[i], pred[i], max_lag)
-    return TrialResult(trial, cfg.seed, score, lag, test.copy(), pred.copy(),
-                       t0, per_output=tuple(per_output))
+            continue  # a constant teacher has no lag
+        lag = lag_diagnostic(test[i], pred[i], max_lag)
+        if lag is not None:
+            break
+    return TrialResult(trial, cfg.seed, score, lag, test.copy(), pred.copy(), t0)
 
 
 # trials per union: enough blocks for about this many links. Two n=3 agents
@@ -227,8 +221,7 @@ def _simulate(cfg, net, trials, steps, inputs=None, links=None):
             sims.append(AgentSim(net, table, bank, state, cfg.ov, rng_agents))
         else:
             q0 = init_density(net, cfg.total_vehicles,
-                              stream_rng(cfg.seed, trial, STREAM_INIT),
-                              how=cfg.init)
+                              stream_rng(cfg.seed, trial, STREAM_INIT))
             sims.append(DensitySim(net, table, bank, q0))
     sim = type(sims[0]).union(sims)
     return sim.split(sim.run(steps, inputs=inputs, links=links))
@@ -307,6 +300,8 @@ def _series_values(cfg, series, steps):
             raise _io.ConfigError(
                 f"config key 'series_csv': cannot read {cfg.series_csv!r}: "
                 f"{exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise _io.ConfigError(f"config key 'series_csv': {exc}") from None
     else:
         key, values = "series_synth", _synth_series(cfg)
     if values.size < steps:

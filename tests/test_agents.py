@@ -44,7 +44,7 @@ def test_velocity_hand_values():
             0.5 * p.v_scale * (1.0 + math.tanh(p.c / p.w))]
     for v in (ov_velocity(h, p), kernel_velocity(h, p)):
         assert v == pytest.approx(want, rel=1e-12, abs=1e-15)
-        assert v[2] < p.v_sup + 1e-12
+        assert v[2] < want[2] + 1e-12
 
 
 def test_velocity_monotone_and_nonnegative():
@@ -275,7 +275,7 @@ def test_red_light_queue_matches_oracle():
     x0, v0 = st.x.copy(), st.v.copy()
     # enormous tau freezes the phases; NS axis stays stopped (default rule)
     bank = PhaseBank(1e12, np.full(4, 0.5))
-    assert not link_go(bank.theta, bank.ns_stop_first, net)[north]
+    assert not link_go(bank.theta, net)[north]
     sim = AgentSim(net, table, bank, st, p, rng)
     steps = 50
     sim.run(steps)
@@ -301,14 +301,15 @@ def ring_setup(per_link, spacing_offset=0.5):
     for l in ring:
         ids, w = table.row(l)
         assert dict(zip(ids.tolist(), w.tolist()))[ring_next[l]] == 1.0
-    # junction flags chosen so each ring link's axis shows go at its dst
-    flags = np.empty(4, dtype=bool)
-    flags[1] = True    # 0->1 eastbound: EW go at junction 1
-    flags[3] = False   # 1->3 northbound: NS go at junction 3
-    flags[2] = True    # 3->2 westbound: EW go at junction 2
-    flags[0] = False   # 2->0 southbound: NS go at junction 0
-    bank = PhaseBank(1e12, np.full(4, 0.5), ns_stop_first=flags)
-    assert np.all(link_go(bank.theta, bank.ns_stop_first, net)[ring])
+    # offsets chosen so each ring link's axis shows go at its dst: the
+    # first half period lets EW go, the second half NS
+    xi = np.empty(4)
+    xi[1] = 0.5            # 0->1 eastbound: EW go at junction 1
+    xi[3] = 0.5 + np.pi    # 1->3 northbound: NS go at junction 3
+    xi[2] = 0.5            # 3->2 westbound: EW go at junction 2
+    xi[0] = 0.5 + np.pi    # 2->0 southbound: NS go at junction 0
+    bank = PhaseBank(1e12, xi)
+    assert np.all(link_go(bank.theta, net)[ring])
 
     spacing = 20.0 / per_link
     links, xs = [], []
@@ -495,8 +496,8 @@ def test_transfers_match_full_resort_on_random_lattices(seed, n, d_min, dt):
 # --- disjoint unions of blocks vs solo runs ----------------------------------
 
 def random_block(rng, n, params, empty=False):
-    """Network, turn table, phase bank (per-junction tau and stop
-    convention) and agents of one random block."""
+    """Network, turn table, phase bank (per-junction tau) and agents of one
+    random block."""
     n_links = 4 * n * (n - 1)
     lengths = rng.uniform(3.0, 20.0, n_links)
     cap = np.floor(lengths / max(params.d_min, 0.2)).astype(int) - 1
@@ -504,8 +505,7 @@ def random_block(rng, n, params, empty=False):
     net = build_lattice(n, lengths)
     table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
     nj = net.n_junctions
-    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
-                     ns_stop_first=rng.uniform(size=nj) < 0.5)
+    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj))
     state = init_agents(net, table, rng, per_link=counts, params=params)
     return net, table, bank, state
 

@@ -59,7 +59,7 @@ def test_unknown_keys_are_named():
     ({"tau": 0}, "tau"),
     ({"tau": [100.0, 90.0]}, "tau"),
     ({"turn_weights": [0.5, 0.4, 0.2]}, "turn_weights"),
-    ({"ns_stop_first": [1, 0, 1, 0]}, "ns_stop_first"),
+    ({"tau": [80.0, 90.0, 100.0, 110.0]}, "tau"),  # one per junction
     ({"task2_feature": "c"}, "task2_feature"),
     ({"series_synth": {"rho": 1.0}}, "series_synth"),
     ({"sigma_in": 0.0}, "sigma_in"),
@@ -148,14 +148,10 @@ def test_agent_spacing_bound_is_inclusive_and_agents_only():
 
 
 def test_list_fields_become_tuples():
-    cfg = config_from_dict({"n": 2, "tau": [80.0, 90.0, 100.0, 110.0],
-                            "turn_weights": [0.2, 0.3, 0.5],
-                            "target_link": [0, 1],
-                            "ns_stop_first": [True, False, True, False]})
-    assert cfg.tau == (80.0, 90.0, 100.0, 110.0)
+    cfg = config_from_dict({"n": 2, "turn_weights": [0.2, 0.3, 0.5],
+                            "target_link": [0, 1]})
     assert cfg.turn_weights == (0.2, 0.3, 0.5)
     assert cfg.target_link == (0, 1)
-    assert cfg.ns_stop_first == (True, False, True, False)
 
 
 def test_config_round_trip():
@@ -192,6 +188,25 @@ def test_the_dropped_phase_mode_key_is_refused(tmp_path):
     manifest.write_text(json.dumps({"artifact": "trafficrc",
                                     "resolved_config": old}))
     with pytest.raises(ConfigError, match="phase_mode"):
+        load_config(manifest)
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("init", "random", "unknown config keys: init"),
+    ("ns_stop_first", True, "unknown config keys: ns_stop_first"),
+    ("tau", [100.0] * 9, "config key 'tau'"),
+], ids=["init", "ns_stop_first", "tau-list"])
+def test_the_dropped_init_flag_and_tau_list_are_refused(tmp_path, key, value,
+                                                        named):
+    # manifests written before one period and one initial split carry
+    # init and ns_stop_first; a per-junction tau once held n*n entries
+    old = dict(config_to_dict(config_from_dict({"n": 3})), **{key: value})
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(old)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"artifact": "trafficrc",
+                                    "resolved_config": old}))
+    with pytest.raises(ConfigError, match=named):
         load_config(manifest)
 
 
@@ -536,16 +551,30 @@ def test_cli_task2_refuses_a_short_series_naming_its_key(tmp_path, capsys):
     assert err.startswith("config key 'series_csv'") and "needs 102" in err
 
 
+# series files that can be read but not parsed, by name
+_UNPARSABLE = {"bad_row.csv": "t,value\n0,1.5\n1,abc\n",
+               "header_only.csv": "t,value\n", "empty.csv": ""}
+
+
 @pytest.mark.parametrize("name,reason", [
     ("missing.csv", "No such file or directory"),
     ("", "Is a directory"),
+    ("bad_row.csv", "row 3: cannot parse series entry"),
+    ("header_only.csv", "no data rows"),
+    ("empty.csv", "empty series file"),
 ])
 def test_cli_task2_names_an_unreadable_series_file(tmp_path, capsys, name, reason):
     spath = str(tmp_path / name)
+    if name in _UNPARSABLE:
+        # the parse error keeps its path and row behind the key
+        pathlib.Path(spath).write_text(_UNPARSABLE[name])
+        want = f"{spath}: {reason}"
+    else:
+        want = f"cannot read {spath!r}: {reason}"
     assert main(["task2", "--config", _write_cfg(tmp_path), "--series", spath,
                  "--out", str(tmp_path / "t2")]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err == f"config key 'series_csv': cannot read {spath!r}: {reason}"
+    assert err == f"config key 'series_csv': {want}"
 
 
 def test_cli_synth(tmp_path):

@@ -11,11 +11,11 @@ from trafficrc.lattice import build_lattice
 from trafficrc.signals import TWO_PI, PhaseBank, link_go, reservoir_observables
 
 
-def random_bank(n, rng, tau=100.0, sigma_in=None, ns_stop_first=True):
+def random_bank(n, rng, tau=100.0, sigma_in=None):
     """Offsets xi ~ U[0, 2*pi); input weights win ~ U[-sigma_in, sigma_in]."""
     xi = rng.uniform(0.0, TWO_PI, n)
     win = None if sigma_in is None else rng.uniform(-sigma_in, sigma_in, n)
-    return PhaseBank(tau, xi, win=win, ns_stop_first=ns_stop_first)
+    return PhaseBank(tau, xi, win=win)
 
 
 def test_constant_rate_matches_closed_form_bitwise():
@@ -71,6 +71,10 @@ def test_input_validation():
     for xi in ([0.1, np.nan], [np.inf, 0.2]):
         with pytest.raises(ValueError, match="xi must be finite"):
             PhaseBank(100.0, xi)
+    # a NaN weight once turned every later phase of its junction into NaN
+    for win in ([np.nan, 0.1], [0.1, -np.inf], np.inf):
+        with pytest.raises(ValueError, match="input weights must be finite"):
+            PhaseBank(100.0, [0.1, 0.2], win=win)
 
 
 def test_copy_is_independent():
@@ -84,8 +88,7 @@ def test_copy_is_independent():
 
 def test_concatenated_banks_step_as_their_parts():
     rng = np.random.default_rng(12)
-    parts = [random_bank(n, rng, tau=rng.uniform(5.0, 60.0), sigma_in=0.5,
-                         ns_stop_first=rng.uniform(size=n) < 0.5)
+    parts = [random_bank(n, rng, tau=rng.uniform(5.0, 60.0, n), sigma_in=0.5)
              for n in (4, 1, 9)]
     parts[0].step(0, 0.7)   # a bank already under way keeps its state
     for b in parts[1:]:
@@ -98,8 +101,7 @@ def test_concatenated_banks_step_as_their_parts():
             b.step(t, u)
     assert joined.theta.tobytes() == np.concatenate(
         [b.theta for b in parts]).tobytes()
-    assert np.array_equal(joined.ns_stop_first,
-                          np.concatenate([b.ns_stop_first for b in parts]))
+    assert np.array_equal(joined.tau, np.concatenate([b.tau for b in parts]))
 
 
 def test_concat_refuses_mixed_banks():
@@ -121,62 +123,71 @@ def test_link_go_convention():
     theta = np.array([0.0, 0.5, np.pi - 1e-9, np.pi, 4.0, TWO_PI - 1e-9])
     first_half = np.array([True, True, True, False, False, False])
     probe = gate_probe(theta.size)
-    go = link_go(theta, True, probe)
+    go = link_go(theta, probe)
     # first half of the period: north-south stops, east-west goes
     assert np.array_equal(go[:6], ~first_half)
     assert np.array_equal(go[6:], first_half)
-    go = link_go(theta, False, probe)
-    assert np.array_equal(go[:6], first_half)
-    assert np.array_equal(go[6:], ~first_half)
 
 
-def test_link_go_per_junction_flags():
-    go = link_go(np.array([0.5, 0.5]), np.array([True, False]), gate_probe(2))
+def test_link_go_per_junction_offsets():
+    # an offset of pi swaps which axis of a junction goes first
+    go = link_go(np.array([0.5, 0.5 + np.pi]), gate_probe(2))
     assert go[:2].tolist() == [False, True]
     assert go[2:].tolist() == [True, False]
+
+
+def test_link_go_equals_the_old_default_convention_bitwise():
+    # the gate before the stop-first flag went: the north-south state
+    # (mod(theta, 2*pi) >= pi) of each junction, complemented on EW links
+    net = build_lattice(4)
+    rng = np.random.default_rng(21)
+    bank = random_bank(net.n_junctions, rng, tau=rng.uniform(3.0, 200.0, 16),
+                       sigma_in=1.0)
+    theta = bank.schedule(0, 700, rng.normal(size=700))
+    ns_go = (np.mod(theta, TWO_PI) < np.pi) ^ True
+    old = ns_go[..., net.link_to] ^ ~net.link_axis_ns
+    assert link_go(theta, net).tobytes() == old.tobytes()
 
 
 def test_link_go_is_periodic():
     theta = np.linspace(0.0, TWO_PI, 37, endpoint=False)
     probe = gate_probe(theta.size)
-    assert np.array_equal(link_go(theta, True, probe),
-                          link_go(theta + 3 * TWO_PI, True, probe))
+    assert np.array_equal(link_go(theta, probe),
+                          link_go(theta + 3 * TWO_PI, probe))
 
 
 def test_phase_period_tau_steps():
     rng = np.random.default_rng(1)
     bank = random_bank(9, rng, tau=100.0)
-    states = link_go(bank.schedule(0, 300), bank.ns_stop_first, gate_probe(9))
+    states = link_go(bank.schedule(0, 300), gate_probe(9))
     assert np.array_equal(states[:100], states[100:200])
     assert np.array_equal(states[:100], states[200:300])
 
 
 def test_link_go_routes_axis_state_of_destination():
     net = build_lattice(2)
-    # first half everywhere: NS stops, EW goes (default convention)
+    # first half everywhere: NS stops, EW goes; second half the reverse
     theta = np.full(4, 0.5)
-    assert np.array_equal(link_go(theta, True, net), ~net.link_axis_ns)
-    assert np.array_equal(link_go(theta, False, net), net.link_axis_ns)
+    assert np.array_equal(link_go(theta, net), ~net.link_axis_ns)
+    assert np.array_equal(link_go(theta + np.pi, net), net.link_axis_ns)
 
 
 def test_link_go_selects_each_links_axis_state():
     # every link reads its own axis: NS links ns_go, EW links ew_go
     net = build_lattice(5)
     rng = np.random.default_rng(11)
-    stop_first = rng.uniform(size=net.n_junctions) < 0.5
-    bank = PhaseBank(37.0, rng.uniform(0.0, TWO_PI, net.n_junctions),
-                     ns_stop_first=stop_first)
+    bank = PhaseBank(37.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
     dst = net.link_to
     rows = []
     for t in range(500):
-        ns_go = (np.mod(bank.theta, TWO_PI) < np.pi) ^ stop_first
+        ns_go = np.mod(bank.theta, TWO_PI) >= np.pi
         expect = np.where(net.link_axis_ns, ns_go[dst], ~ns_go[dst])
-        assert np.array_equal(link_go(bank.theta, stop_first, net), expect)
+        assert np.array_equal(link_go(bank.theta, net), expect)
         rows.append(expect)
         bank.step(t)
     # over a (steps, junctions) schedule it gates every row at once
-    replay = PhaseBank(37.0, bank.xi, ns_stop_first=stop_first)
-    assert np.array_equal(link_go(replay.schedule(0, 500), stop_first, net),
+    replay = PhaseBank(37.0, bank.xi)
+    assert np.array_equal(link_go(replay.schedule(0, 500), net),
                           np.array(rows))
 
 
@@ -191,8 +202,7 @@ def test_schedule_matches_stepping_bitwise(seed, n, with_input,
     rng = np.random.default_rng(seed)
     tau = rng.uniform(3.0, 200.0, n) if per_junction_tau else rng.uniform(3.0, 200.0)
     bank = random_bank(n, rng, tau=tau,
-                       sigma_in=rng.uniform(0.01, 2.0) if with_input else None,
-                       ns_stop_first=rng.uniform(size=n) < 0.5)
+                       sigma_in=rng.uniform(0.01, 2.0) if with_input else None)
     inputs = rng.normal(size=t0 + steps) if with_input else None
     # t0 > 0: both banks first step through t0 steps, input included
     for t in range(t0):

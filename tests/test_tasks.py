@@ -144,7 +144,6 @@ def test_agents_task_multi_output():
     for r in res:
         assert r.teacher.shape == (hidden, cfg.test)
         assert r.predicted.shape == (hidden, cfg.test)
-        assert len(r.per_output) == hidden
         assert np.isfinite(r.score)
 
 
@@ -303,7 +302,6 @@ def _assert_same_trials(got, want):
     for a, b in zip(got, want):
         assert (a.trial, a.seed, a.lag, a.t0) == (b.trial, b.seed, b.lag, b.t0)
         assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
-        assert a.per_output == b.per_output
         assert a.teacher.shape == b.teacher.shape
         assert a.teacher.tobytes() == b.teacher.tobytes()
         assert a.predicted.shape == b.predicted.shape
@@ -475,9 +473,9 @@ def test_readout_features_derive_the_observables_of_their_mask(monkeypatch):
         sweep(cfg, "p", [0.4, 1.0])
         assert len(seen) == 2 * cfg.trials
         for i, (mask, x1, x2) in enumerate(seen):
-            want = trajs[i // 2].observables(slice(first, steps), mask)
-            assert x1.tobytes() == want[0].tobytes(), (kind, i)
-            assert x2.tobytes() == want[1].tobytes(), (kind, i)
+            want = trajs[i // 2].observables(slice(first, steps))
+            assert x1.tobytes() == want[0][:, mask].tobytes(), (kind, i)
+            assert x2.tobytes() == want[1][:, mask].tobytes(), (kind, i)
 
 
 # --- one-shot simulation -------------------------------------------------------
