@@ -41,6 +41,9 @@ class OVParams:
             raise ValueError("a must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(1.0 / self.dt) or abs(self.substeps * self.dt - 1.0) > 1e-9:
+            raise ValueError("dt must be 1/k for a whole number k, so that k "
+                             "substeps span one time unit")
         if self.d_min < 0:
             raise ValueError("d_min must be nonnegative")
         if self.v_scale < 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from datetime import datetime
@@ -22,69 +23,11 @@ __all__ = [
 VERSION = "0.1.0"
 OUT_ENV = "TRAFFICRC_OUT"  # overrides the default output root ("runs")
 
-_MODELS = ("density", "agents")
-_TASKS = ("density_link", "external_series")
 _SYNTH_KINDS = ("sinusoid", "sinusoid+ar1")
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Synthetic external-series recipe (daily sinusoid, optional AR(1))."""
-    kind: str = "sinusoid+ar1"
-    length: int | None = None   # None: fit the experiment's required length
-    amplitude: float = 10.0
-    offset: float = 20.0
-    period: float = 96.0
-    # noise slow enough (corr time ~20 steps) that the reservoir's own
-    # smoothing does not erase it: the forecast-horizon experiments need
-    # an aperiodic component whose predictability actually decays with T
-    rho: float = 0.95
-    sigma: float = 0.8
-
-
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SynthSpec)}
-_OV_KEYS = {f.name for f in dataclasses.fields(OVParams)}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment settings; every field has a concrete value."""
-    model: str = "density"
-    task: str = "density_link"
-    n: int = 5
-    link_length: float = 1.0
-    total_vehicles: float = 80.0
-    agents_per_link: int = 10
-    turn_weights: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    tau: float = 100.0
-    T: int = 5
-    beta: float = 1e-8
-    p: float = 1.0
-    M: int = 20
-    train: int = 4000
-    test: int = 2000
-    washout: int = 100
-    trials: int = 20
-    seed: int = 12345
-    target_link: tuple | None = None
-    series_csv: str | None = None
-    series_synth: SynthSpec = SynthSpec()
-    sigma_in: float = 1.0
-    trial_average: int = 5
-    steps: int | None = None
-    ov: OVParams = OVParams()
-    task2_feature: str = "b"
-
-    @property
-    def n_links(self):
-        return 4 * self.n * (self.n - 1)
-
-
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _require(cond, key, msg):
@@ -100,104 +43,154 @@ def _is_finite(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _build_config(data):
+# --- the key table: one ExperimentConfig field per config key ---------------
+
+_KINDS = {int: ("an integer", _is_int), float: ("finite", _is_finite),
+          str: ("a path", lambda v: isinstance(v, str))}
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge),
+           "lt": ("<", operator.lt), "le": ("<=", operator.le)}
+_PAIR = ("a [from, to] junction pair",
+         lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)))
+_WEIGHTS = ("3 finite weights >= 0 that sum to 1",
+            lambda v: isinstance(v, tuple) and len(v) == 3
+            and all(_is_finite(w) and w >= 0 for w in v) and abs(sum(v) - 1.0) <= 1e-12)
+
+
+def _choice(*values):
+    return f"one of {values}", lambda v: v in values
+
+
+def _key(default, kind, moves=None, **bounds):
+    """A config field whose metadata is its row. kind is int, float, str, a
+    nested block's class, or a (what a value must be, test) pair; bounds are
+    gt, ge, lt or le limits. A key a sweep takes names what a change to it
+    moves: "readout" (every value reads one run), "span" (the run's length)
+    or "run" (the run itself)."""
+    return dataclasses.field(default=default, metadata={
+        "kind": kind, "bounds": bounds, "moves": moves})
+
+
+def _check(obj, block=None):
+    """Check each field of obj, a config or its nested block, against its row;
+    None passes only where it is the default."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if v is None and f.default is None:
+            continue
+        kind = f.metadata["kind"]
+        what, test = kind if isinstance(kind, tuple) else _KINDS.get(
+            kind, ("an object", lambda v: isinstance(v, kind)))
+        bounds = [(*_BOUNDS[op], limit) for op, limit in f.metadata["bounds"].items()]
+        if not (test(v) and all(fn(v, limit) for _, fn, limit in bounds)):
+            must = " and ".join([what] + [f"{sym} {limit}" for sym, _, limit in bounds])
+            name = f"{f.name} " if block else ""
+            raise ConfigError(f"config key {block or f.name!r}: {name}must be {must}")
+
+
+def _require_finite(key, values):
+    bad = sorted(k for k, v in values.items() if not _is_finite(v))
+    _require(not bad, key, f"{', '.join(bad)} must be finite")
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Synthetic external-series recipe (daily sinusoid, optional AR(1))."""
+    kind: str = _key("sinusoid+ar1", _choice(*_SYNTH_KINDS))
+    length: int | None = _key(None, int, ge=2)   # None: the experiment's span
+    amplitude: float = _key(10.0, float)
+    offset: float = _key(20.0, float)
+    period: float = _key(96.0, float, gt=0)
+    # noise slow enough (corr time ~20 steps) that the reservoir's own
+    # smoothing does not erase it: the forecast-horizon experiments need
+    # an aperiodic component whose predictability actually decays with T
+    rho: float = _key(0.95, float, gt=-1, lt=1)
+    sigma: float = _key(0.8, float, ge=0)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Resolved experiment settings: one field per config key, whose metadata
+    is the key's row (see _key)."""
+    model: str = _key("density", _choice("density", "agents"))
+    task: str = _key("density_link", _choice("density_link", "external_series"))
+    n: int = _key(5, int, ge=1)
+    link_length: float = _key(1.0, float, gt=0)
+    total_vehicles: float = _key(80.0, float, gt=0)
+    agents_per_link: int = _key(10, int, ge=0)
+    turn_weights: tuple = _key((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), _WEIGHTS)
+    tau: float = _key(100.0, float, "run", gt=0)
+    T: int = _key(5, int, "span", ge=0)
+    beta: float = _key(1e-8, float, "readout", ge=0)
+    p: float = _key(1.0, float, "readout", ge=0, le=1)
+    M: int = _key(20, int, "readout", ge=0)
+    train: int = _key(4000, int, ge=1)
+    test: int = _key(2000, int, ge=2)
+    washout: int = _key(100, int, ge=0)
+    trials: int = _key(20, int, ge=1)
+    seed: int = _key(12345, int, ge=0)
+    target_link: tuple | None = _key(None, _PAIR)
+    series_csv: str | None = _key(None, str)
+    series_synth: SynthSpec = _key(SynthSpec(), SynthSpec)
+    sigma_in: float = _key(1.0, float, gt=0)
+    trial_average: int = _key(5, int, ge=1)
+    steps: int | None = _key(None, int, ge=1)
+    ov: OVParams = _key(OVParams(), OVParams)
+    task2_feature: str = _key("b", _choice("a", "b"))
+
+    @property
+    def n_links(self):
+        return 4 * self.n * (self.n - 1)
+
+
+def _block(key, cls, raw):
+    """A nested block (series_synth or ov) from its JSON object."""
+    _require(isinstance(raw, dict), key, "must be an object")
+    bad = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    _require(not bad, key, f"unknown keys: {', '.join(bad)}")
+    if cls is OVParams:
+        # OVParams checks its bounds as it is built: numbers first
+        _require_finite(key, raw)
+        raw = {k: float(v) for k, v in raw.items()}
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
+def config_from_dict(data):
+    """Build a config from an in-memory dict: list values become tuples, nested
+    objects their blocks, and every key is checked against its row."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    values = dict(data)
+    values = {}
+    for key, v in data.items():
+        if isinstance(v, list):
+            v = tuple(v)
+        elif dataclasses.is_dataclass(fields[key].default):
+            v = _block(key, type(fields[key].default), v)
+        values[key] = v
+    cfg = ExperimentConfig(**values)
 
-    if "ov" in values and values["ov"] is not None:
-        ov = values["ov"]
-        _require(isinstance(ov, dict), "ov", "must be an object")
-        bad = sorted(set(ov) - _OV_KEYS)
-        _require(not bad, "ov", f"unknown keys: {', '.join(bad)}")
-        bad = sorted(k for k, v in ov.items() if not _is_finite(v))
-        _require(not bad, "ov", f"{', '.join(bad)} must be finite numbers")
-        try:
-            values["ov"] = OVParams(**{k: float(v) for k, v in ov.items()})
-        except ValueError as exc:
-            raise ConfigError(f"config key 'ov': {exc}") from None
-    if "series_synth" in values and values["series_synth"] is not None:
-        sp = values["series_synth"]
-        _require(isinstance(sp, dict), "series_synth", "must be an object")
-        bad = sorted(set(sp) - _SYNTH_KEYS)
-        _require(not bad, "series_synth", f"unknown keys: {', '.join(bad)}")
-        values["series_synth"] = SynthSpec(**sp)
-    for key in ("turn_weights", "target_link"):
-        if key in values and isinstance(values[key], list):
-            values[key] = tuple(values[key])
-    values = {k: v for k, v in values.items() if v is not None or
-              k in ("target_link", "series_csv", "steps")}
-
-    base = ExperimentConfig()
-    merged = {f.name: values.get(f.name, getattr(base, f.name))
-              for f in dataclasses.fields(ExperimentConfig)}
-
-    # resolve model-dependent defaults before validation
+    # resolve the derived defaults before validation, which names a bad n
+    derived = {}
     if "link_length" not in values:
-        merged["link_length"] = 20.0 if merged["model"] == "agents" else 1.0
-    if "total_vehicles" not in values:
-        n = merged["n"]
-        merged["total_vehicles"] = float(max(4 * n * (n - 1), 1))
-
-    cfg = ExperimentConfig(**merged)
-    validate_config(cfg)
-    return cfg
+        derived["link_length"] = 20.0 if cfg.model == "agents" else 1.0
+    if "total_vehicles" not in values and _is_int(cfg.n):
+        derived["total_vehicles"] = float(max(cfg.n_links, 1))
+    return validate_config(dataclasses.replace(cfg, **derived))
 
 
 def validate_config(cfg):
-    _require(cfg.model in _MODELS, "model", f"must be one of {_MODELS}")
-    _require(cfg.task in _TASKS, "task", f"must be one of {_TASKS}")
-    _require(_is_int(cfg.n) and cfg.n >= 1, "n", "must be a positive integer")
-    _require(_is_finite(cfg.link_length) and cfg.link_length > 0,
-             "link_length", "must be finite and positive")
-    _require(_is_finite(cfg.total_vehicles) and cfg.total_vehicles > 0,
-             "total_vehicles", "must be finite and positive")
-    _require(_is_int(cfg.agents_per_link) and cfg.agents_per_link >= 0,
-             "agents_per_link", "must be a nonnegative integer")
-    tw = cfg.turn_weights
-    _require(isinstance(tw, tuple) and len(tw) == 3, "turn_weights",
-             "must be a 3-vector")
-    _require(all(_is_finite(v) for v in tw), "turn_weights",
-             "entries must be finite numbers")
-    _require(all(v >= 0 for v in tw) and abs(sum(tw) - 1.0) <= 1e-12,
-             "turn_weights", "must be nonnegative and sum to 1")
-    _require(_is_finite(cfg.tau) and cfg.tau > 0, "tau",
-             "must be a finite positive number")
-    _require(_is_int(cfg.T) and cfg.T >= 0, "T", "must be a nonnegative integer")
-    _require(_is_finite(cfg.beta) and cfg.beta >= 0, "beta",
-             "must be finite and nonnegative")
-    _require(_is_finite(cfg.p) and 0.0 <= cfg.p <= 1.0, "p",
-             "must be a number in [0, 1]")
-    _require(_is_int(cfg.M) and cfg.M >= 0, "M", "must be a nonnegative integer")
-    _require(_is_int(cfg.train) and cfg.train >= 1, "train", "must be >= 1")
-    _require(_is_int(cfg.test) and cfg.test >= 2, "test", "must be >= 2")
-    _require(_is_int(cfg.washout) and cfg.washout >= 0, "washout", "must be >= 0")
-    _require(_is_int(cfg.trials) and cfg.trials >= 1, "trials", "must be >= 1")
-    _require(_is_int(cfg.seed) and cfg.seed >= 0, "seed",
-             "must be a nonnegative integer")
-    if cfg.target_link is not None:
-        tl = cfg.target_link
-        _require(isinstance(tl, tuple) and len(tl) == 2 and all(_is_int(v) for v in tl),
-                 "target_link", "must be a [from, to] junction pair")
-    if cfg.series_csv is not None:
-        _require(isinstance(cfg.series_csv, str), "series_csv", "must be a path")
-    _require(cfg.series_synth.kind in _SYNTH_KINDS, "series_synth",
-             f"kind must be one of {_SYNTH_KINDS}")
-    if cfg.series_synth.length is not None:
-        _require(_is_int(cfg.series_synth.length) and cfg.series_synth.length >= 2,
-                 "series_synth", "length must be >= 2")
-    for name in ("amplitude", "offset", "period", "rho", "sigma"):
-        _require(_is_finite(getattr(cfg.series_synth, name)), "series_synth",
-                 f"{name} must be finite")
-    _require(cfg.series_synth.period > 0, "series_synth", "period must be positive")
-    _require(abs(cfg.series_synth.rho) < 1, "series_synth", "rho must lie in (-1, 1)")
-    _require(cfg.series_synth.sigma >= 0, "series_synth", "sigma must be >= 0")
-    for name in sorted(_OV_KEYS):
-        _require(_is_finite(getattr(cfg.ov, name)), "ov", f"{name} must be finite")
+    """Check every key of cfg against its row, then the keys that bound each
+    other; a ConfigError names the first bad key."""
+    _check(cfg)
+    _check(cfg.series_synth, "series_synth")
+    _require_finite("ov", dataclasses.asdict(cfg.ov))
     if cfg.model == "agents":
         # init_agents spaces each link's agents length / (count + 1) apart
         _require(cfg.link_length / (cfg.agents_per_link + 1) >= cfg.ov.d_min,
@@ -205,14 +198,6 @@ def validate_config(cfg):
                  f"{cfg.agents_per_link} agents on a {cfg.link_length}-long "
                  f"link cannot keep ov.d_min={cfg.ov.d_min} apart "
                  "(needs link_length / (agents_per_link + 1) >= ov.d_min)")
-    _require(_is_finite(cfg.sigma_in) and cfg.sigma_in > 0, "sigma_in",
-             "must be finite and positive")
-    _require(_is_int(cfg.trial_average) and cfg.trial_average >= 1,
-             "trial_average", "must be >= 1")
-    if cfg.steps is not None:
-        _require(_is_int(cfg.steps) and cfg.steps >= 1, "steps", "must be >= 1")
-    _require(cfg.task2_feature in ("a", "b"), "task2_feature",
-             'must be "a" or "b"')
     return cfg
 
 
@@ -232,27 +217,13 @@ def read_config_dict(path):
 
 def load_config(path):
     """Read a strict JSON config (or a run manifest; its resolved config is used)."""
-    return _build_config(read_config_dict(path))
-
-
-def config_from_dict(data):
-    """Build a config from an in-memory dict (same strict validation)."""
-    return _build_config(data)
+    return config_from_dict(read_config_dict(path))
 
 
 def config_to_dict(cfg):
     """Plain-JSON form of a resolved config (inverse of load_config)."""
-    out = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, OVParams):
-            v = {k: getattr(v, k) for k in sorted(_OV_KEYS)}
-        elif isinstance(v, SynthSpec):
-            v = {k: getattr(v, k) for k in sorted(_SYNTH_KEYS)}
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(cfg).items()}
 
 
 # --- external series ---------------------------------------------------------

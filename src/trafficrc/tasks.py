@@ -423,18 +423,19 @@ def summarize(results):
     return {"mean": float(scores.mean()), "stderr": stderr, "trials": int(k)}
 
 
-_SWEEP_PARAMS = ("p", "M", "T", "beta", "tau")
-_READOUT_PARAMS = ("p", "M", "beta")
+# a key a sweep takes: its row in ExperimentConfig says what it moves
+_ROWS = {f.name: f.metadata for f in dataclasses.fields(_io.ExperimentConfig)}
+_SWEEP_PARAMS = tuple(k for k, row in _ROWS.items() if row["moves"])
 
 
 def _sweep_value(param, raw):
-    """M and T must be integral (3, "3" and 8.0 pass); the rest become floats."""
+    """An int key's values must be integral (3, "3", 8.0 pass); others become floats."""
     try:
         value = float(raw)
     except ValueError:
         raise _io.ConfigError(
             f"config key {param!r}: sweep value {raw!r} is not a number") from None
-    if param not in ("M", "T"):
+    if _ROWS[param]["kind"] is not int:
         return value
     if not value.is_integer():
         raise _io.ConfigError(
@@ -450,9 +451,9 @@ def sweep(cfg, param, values, series=None):
     checked before the first simulation; a value given twice is refused, and
     so is an M sweep off the agents model, whose readout alone reads M. Each
     trial is simulated once per distinct reservoir run and every value
-    sharing that run is read out of it: p, M and beta never change the run,
-    and on the density_link task a larger T only lengthens it, so the
-    longest span serves every T.
+    sharing that run is read out of it, as param's row says: readout keys
+    (p, M, beta) never change the run, and on the density_link task the span
+    key T only lengthens it, so the longest span serves every T.
     """
     if param not in _SWEEP_PARAMS:
         raise _io.ConfigError(
@@ -475,7 +476,8 @@ def sweep(cfg, param, values, series=None):
             f"would repeat one result on the {cfg.model} model")
     net = build_lattice(cfg.n, cfg.link_length)
     plans = {v: (c, *_plan(c, net, series)) for v, c in configs.items()}
-    shared = param in _READOUT_PARAMS or (param == "T" and cfg.task == "density_link")
+    moves = _ROWS[param]["moves"]
+    shared = moves == "readout" or (moves == "span" and cfg.task == "density_link")
     by_value = _run(cfg, net, plans, shared)
     rows = [dict(summarize(by_value[v]), value=v) for v in configs if by_value[v]]
     return SweepResult(param, by_value, rows)

@@ -67,6 +67,13 @@ def test_params_validation():
         OVParams(d_min=-0.1)
     assert OVParams(dt=0.1).substeps == 10
     assert OVParams(dt=1.0).substeps == 1
+    # round(1/dt) substeps must span one time unit: 0.3 would span 0.9,
+    # 0.15 would span 1.05 and 2.0 would span 2
+    for dt in (0.3, 0.15, 2.0):
+        with pytest.raises(ValueError, match="dt must be 1/k"):
+            OVParams(dt=dt)
+    for dt in (0.1, 0.25, 0.5, 1.0, 1.0 / 3.0):
+        assert OVParams(dt=dt).substeps * dt == pytest.approx(1.0, abs=1e-9)
 
 
 # --- initialization ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config loading, series ingestion, result emission, CLI subcommands."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -124,6 +125,42 @@ def test_validation_refuses_wrongly_typed_values(patch, key):
     data.update(patch)
     with pytest.raises(ConfigError, match=f"'{key}'"):
         config_from_dict(data)
+
+
+_FIELDS = dataclasses.fields(ExperimentConfig)
+
+
+@pytest.mark.parametrize("field", [f for f in _FIELDS if f.name != "series_csv"],
+                         ids=lambda f: f.name)
+def test_every_key_refuses_a_wrongly_typed_value(field):
+    # series_csv takes any string; every other row checks its kind, so a
+    # key added without a check fails here
+    bad = ["x", True] + ([1.5] if field.metadata["kind"] is int else [])
+    for value in bad:
+        with pytest.raises(ConfigError, match=f"'{field.name}'"):
+            config_from_dict({field.name: value})
+
+
+@pytest.mark.parametrize("key", [f.name for f in _FIELDS if f.default is not None])
+def test_null_is_refused_where_the_default_is_not_null(key):
+    # null once dropped the key, so {"tau": null} ran the default silently
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        config_from_dict({key: None})
+
+
+def test_null_unsets_only_the_optional_keys():
+    cfg = config_from_dict({"target_link": None, "series_csv": None,
+                            "steps": None, "series_synth": {"length": None}})
+    assert cfg == config_from_dict({})
+    with pytest.raises(ConfigError, match="'series_synth': kind"):
+        config_from_dict({"series_synth": {"kind": None}})
+
+
+@pytest.mark.parametrize("dt", [0.3, 0.15, 2.0, 5e-324])
+def test_ov_dt_must_split_one_time_unit(dt):
+    # round(1 / dt) substeps of dt must span exactly one reservoir step
+    with pytest.raises(ConfigError, match="'ov': dt must be 1/k"):
+        config_from_dict({"ov": {"dt": dt}})
 
 
 @pytest.mark.parametrize("patch", [
