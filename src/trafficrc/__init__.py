@@ -6,8 +6,7 @@ from .lattice import Network, TurnTable, assign_turn_table, build_lattice
 from .signals import PhaseBank, reservoir_observables
 from .density import DensitySim, Trajectory, init_density
 from .agents import AgentSim, AgentState, OVParams, init_agents
-from .readout import (FeatureDef, ReadoutModel, assemble_matrix, log_nrmse,
-                      predict, ridge_fit)
+from .readout import assemble_matrix, log_nrmse, predict, ridge_fit
 from .tasks import (TrialResult, average_prediction, lag_diagnostic,
                     run_experiment, select_reservoir_fraction, sweep)
 
@@ -17,8 +16,7 @@ __all__ = [
     "assign_turn_table", "build_lattice", "PhaseBank",
     "reservoir_observables", "DensitySim", "Trajectory",
     "init_density", "AgentSim", "AgentState", "OVParams", "init_agents",
-    "FeatureDef", "ReadoutModel", "assemble_matrix",
-    "log_nrmse", "predict", "ridge_fit", "TrialResult",
+    "assemble_matrix", "log_nrmse", "predict", "ridge_fit", "TrialResult",
     "average_prediction", "lag_diagnostic", "run_experiment",
     "select_reservoir_fraction", "sweep",
 ]

@@ -248,13 +248,6 @@ class AgentSim(_Reservoir):
         if crossing.size:
             self._transfers(crossing.tolist(), go)
             same = st.link[1:] == st.link[:-1]
-        if self.min_gaps.size == 1:
-            # one block: the plain minimum of the same-link gaps
-            if same.any():
-                gap = (st.x[1:] - st.x[:-1])[same].min()
-                if gap < self.min_gaps[0]:
-                    self.min_gaps[0] = gap
-            return
         # per-block minimum of the same-link gaps, one reduceat over blocks
         gap = np.full(n, np.inf)
         np.subtract(st.x[1:], st.x[:-1], out=gap[:-1], where=same)

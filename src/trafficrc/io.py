@@ -56,6 +56,11 @@ _WEIGHTS = ("3 finite weights >= 0 that sum to 1",
             and all(_is_finite(w) and w >= 0 for w in v) and abs(sum(v) - 1.0) <= 1e-12)
 
 
+# the lattice is built by Python loops over its n^2 junctions, at about 220 B
+# per link: n = 1000 (about 4 million links) already takes about 0.9 GB
+_N_MAX = 1000
+
+
 def _choice(*values):
     return f"one of {values}", lambda v: v in values
 
@@ -113,7 +118,7 @@ class ExperimentConfig:
     is the key's row (see _key)."""
     model: str = _key("density", _choice("density", "agents"))
     task: str = _key("density_link", _choice("density_link", "external_series"))
-    n: int = _key(5, int, ge=1)
+    n: int = _key(5, int, ge=1, le=_N_MAX)
     link_length: float = _key(1.0, float, gt=0)
     total_vehicles: float = _key(80.0, float, gt=0)
     agents_per_link: int = _key(10, int, ge=0)
@@ -180,7 +185,7 @@ def config_from_dict(data):
     derived = {}
     if "link_length" not in values:
         derived["link_length"] = 20.0 if cfg.model == "agents" else 1.0
-    if "total_vehicles" not in values and _is_int(cfg.n):
+    if "total_vehicles" not in values and _is_int(cfg.n) and cfg.n <= _N_MAX:
         derived["total_vehicles"] = float(max(cfg.n_links, 1))
     return validate_config(dataclasses.replace(cfg, **derived))
 
@@ -451,8 +456,7 @@ def emit_sweep_results(out_dir, command, cfg, sweep, notes=None):
 
 
 def _value_tag(value):
-    text = _fmt(value) if not isinstance(value, float) else repr(value)
-    return text.replace(".", "p").replace("-", "m")
+    return _fmt(value).replace(".", "p").replace("-", "m")
 
 
 # --- plotting ----------------------------------------------------------------

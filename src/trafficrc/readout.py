@@ -1,94 +1,40 @@
 """Linear readout: feature assembly, ridge regression, and the error score."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TAG_A", "TAG_B", "TAG_A_PRIME", "FeatureDef", "ReadoutModel",
-    "assemble_matrix", "ridge_fit", "predict", "log_nrmse",
-]
-
-TAG_A = "a"
-TAG_B = "b"
-TAG_A_PRIME = "a_prime"
-_TAGS = (TAG_A, TAG_B, TAG_A_PRIME)
+__all__ = ["assemble_matrix", "ridge_fit", "predict", "log_nrmse"]
 
 
-@dataclass
-class FeatureDef:
-    """Which columns feed the readout.
+def assemble_matrix(x1, x2, u=None, k=None):
+    """The feature matrix X, shape (dim, steps): the rows [1, U, X1, X2, K],
+    with U and K only when given.
 
-    tag "a":       [1, U, X1[mask], X2[mask]]        (input + reservoir)
-    tag "b":       [1, X1[mask], X2[mask]]           (reservoir only)
-    tag "a_prime": tag "a" plus lagged link densities K(t-T) over `roads`.
-
-    mask holds reservoir junction ids (feature order follows the mask order;
-    sorted ascending by convention), roads holds link ids for tag "a_prime".
-    The caller passes U and K already delayed.
+    x1 and x2 hold the observables of the reservoir junctions, one row per
+    step and one column per junction; u holds one input value per step and k
+    one column per extra road, both already delayed by the caller.
     """
-    tag: str
-    mask: np.ndarray
-    roads: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"tag must be one of {_TAGS}")
-        self.mask = np.asarray(self.mask, dtype=np.int64)
-        if self.mask.ndim != 1:
-            raise ValueError("mask must be a 1-d array of junction ids")
-        if self.tag == TAG_A_PRIME:
-            if self.roads is None:
-                raise ValueError('tag "a_prime" requires a road subset')
-            self.roads = np.asarray(self.roads, dtype=np.int64)
-
-
-def _check_u(fdef, u):
-    needs_u = fdef.tag in (TAG_A, TAG_A_PRIME)
-    if needs_u and u is None:
-        raise ValueError(f'tag "{fdef.tag}" requires the input signal U')
-    if not needs_u and u is not None:
-        raise ValueError(f'tag "{fdef.tag}" takes no input signal U')
-
-
-def assemble_matrix(fdef, x1, x2, u=None, k_hist=None):
-    """Batched assembly: rows of x1/x2 (and k_hist) are time steps.
-
-    x1 and x2 hold the observables of the fdef.mask junctions only, one
-    column per mask entry in mask order, so a caller derives them just
-    there; k_hist holds every link (only the fdef.roads columns are used).
-    Returns the feature matrix X with shape (dim, steps), one column per step.
-    """
-    _check_u(fdef, u)
+    if x1.ndim != 2 or x2.shape != x1.shape:
+        raise ValueError("x1 and x2 must be (steps, junctions) arrays of one shape")
     steps = x1.shape[0]
-    if x1.shape != (steps, fdef.mask.size) or x2.shape != x1.shape:
-        raise ValueError("x1 and x2 must hold one column per mask junction")
     parts = [np.ones((1, steps))]
-    if fdef.tag in (TAG_A, TAG_A_PRIME):
+    if u is not None:
         u = np.asarray(u, dtype=float)
         if u.shape != (steps,):
             raise ValueError("U must hold one scalar per step")
         parts.append(u[None, :])
     parts.append(x1.T)
     parts.append(x2.T)
-    if fdef.tag == TAG_A_PRIME:
-        if k_hist is None:
-            raise ValueError('tag "a_prime" requires lagged link densities')
-        parts.append(k_hist[:, fdef.roads].T)
+    if k is not None:
+        if k.ndim != 2 or k.shape[0] != steps:
+            raise ValueError("K must hold one row per step")
+        parts.append(k.T)
     return np.concatenate(parts, axis=0)
 
 
-@dataclass
-class ReadoutModel:
-    """Trained linear readout: weights (outputs x features)."""
-    weights: np.ndarray
-
-
 def ridge_fit(x, y, beta):
-    """Ridge regression W = Y X^T (X X^T + beta I)^(-1).
+    """Ridge regression W = Y X^T (X X^T + beta I)^(-1), shape (outputs, dim).
 
     x: features (dim, steps); y: targets (steps,) or (outputs, steps). The
     normal system is solved with its Cholesky factor L (X X^T + beta I =
@@ -115,15 +61,16 @@ def ridge_fit(x, y, beta):
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "normal equations are singular; use beta > 0") from exc
-    return ReadoutModel(weights=z.T)
+    return z.T
 
 
-def predict(model, x):
-    """Apply the readout to one feature column (dim,) or a matrix (dim, steps)."""
+def predict(w, x):
+    """Apply the weights w of ridge_fit to one feature column (dim,) or a
+    matrix (dim, steps)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.weights.shape[1]:
+    if x.shape[0] != w.shape[1]:
         raise ValueError("feature dimension does not match the trained readout")
-    return model.weights @ x
+    return w @ x
 
 
 def log_nrmse(y, y_hat, base=10.0, floor=-12.0):

@@ -31,8 +31,7 @@ from . import io as _io
 from .agents import AgentSim, init_agents
 from .density import DensitySim, init_density
 from .lattice import assign_turn_table, build_lattice
-from .readout import (TAG_A, TAG_A_PRIME, TAG_B, FeatureDef, assemble_matrix,
-                      log_nrmse, predict, ridge_fit)
+from .readout import assemble_matrix, log_nrmse, predict, ridge_fit
 from .signals import TWO_PI, PhaseBank
 
 __all__ = [
@@ -153,33 +152,6 @@ def lag_diagnostic(y, y_hat, max_lag):
     return best
 
 
-def _score(cfg, trial, x, teacher):
-    """Fit on the training steps, score the test steps of teacher (1-d, or
-    (outputs, steps)); the lag is the first one defined on a non-constant
-    output."""
-    tr = cfg.train
-    model = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta)
-    pred = predict(model, x[:, tr:])
-    test = teacher[..., tr:]
-    score = log_nrmse(test, pred)
-    t0 = _span(cfg)[1] + tr
-    max_lag = max(2 * cfg.T, 10)
-    if test.ndim == 1:
-        lag = lag_diagnostic(test, pred[0], max_lag)
-        return TrialResult(trial, cfg.seed, score, lag, test.copy(),
-                           pred[0].copy(), t0)
-    lag = None
-    for i in range(test.shape[0]):
-        try:
-            log_nrmse(test[i:i + 1], pred[i:i + 1])
-        except ValueError:
-            continue  # a constant teacher has no lag
-        lag = lag_diagnostic(test[i], pred[i], max_lag)
-        if lag is not None:
-            break
-    return TrialResult(trial, cfg.seed, score, lag, test.copy(), pred.copy(), t0)
-
-
 # trials per union: enough blocks for about this many links. Two n=3 agents
 # blocks (48 links) step a trial about 30% cheaper than one; more blocks save
 # more but keep more trajectories alive, and n >= 4 stays one trial a time.
@@ -227,54 +199,73 @@ def _simulate(cfg, net, trials, steps, inputs=None, links=None):
     return sim.split(sim.run(steps, inputs=inputs, links=links))
 
 
-def _features(fdef, obs, rows, u=None, k_hist=None):
-    """The readout's feature matrix: its rows and masked junctions gathered
-    from obs, the trial's (X1, X2) over every row and junction."""
-    x1, x2 = (x[rows, fdef.mask] for x in obs)
-    return assemble_matrix(fdef, x1, x2, u=u, k_hist=k_hist)
+def _read(cfg, trial, net, obs, teacher, u=None, k=None, exclude=()):
+    """One trial's readout of obs, its (X1, X2) over every row and junction:
+    fitted on the training steps and scored on the test steps of teacher
+    (1-d, or (outputs, steps)).
+
+    The reservoir mask is drawn from the trial's mask stream, never on the
+    excluded junctions. The features [1, U, X1, X2, K] (see assemble_matrix)
+    cover rows _span(cfg)[1] onwards, as do teacher, u and k. The lag is the
+    first one defined on a non-constant output.
+    """
+    steps, first = _span(cfg)
+    mask = select_reservoir_fraction(
+        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
+        exclude=exclude)
+    rows = slice(first, steps)
+    x = assemble_matrix(obs[0][rows, mask], obs[1][rows, mask], u=u, k=k)
+    tr = cfg.train
+    w = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta)
+    pred = predict(w, x[:, tr:])
+    test = teacher[..., tr:]
+    score = log_nrmse(test, pred)
+    t0 = first + tr
+    max_lag = max(2 * cfg.T, 10)
+    if test.ndim == 1:
+        lag = lag_diagnostic(test, pred[0], max_lag)
+        return TrialResult(trial, cfg.seed, score, lag, test.copy(),
+                           pred[0].copy(), t0)
+    lag = None
+    for i in range(test.shape[0]):
+        try:
+            log_nrmse(test[i:i + 1], pred[i:i + 1])
+        except ValueError:
+            continue  # a constant teacher has no lag
+        lag = lag_diagnostic(test[i], pred[i], max_lag)
+        if lag is not None:
+            break
+    return TrialResult(trial, cfg.seed, score, lag, test.copy(), pred.copy(), t0)
 
 
 def _read_density(cfg, target, trial, net, traj, obs):
-    """Target-road density from the observables and the road's own past."""
+    """Target-road density from the observables and the road's own past (U);
+    the road's two end junctions stay out of the mask."""
     steps, first = _span(cfg)
-    ends = (net.link_from[target], net.link_to[target])
-    mask = select_reservoir_fraction(
-        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
-        exclude=ends)
     y = traj.density(target)[:steps]
-    fdef = FeatureDef(TAG_A, mask)
-    x = _features(fdef, obs, slice(first, steps),
-                  u=y[cfg.washout:steps - cfg.T])
-    return _score(cfg, trial, x, y[first:])
+    return _read(cfg, trial, net, obs, y[first:], u=y[cfg.washout:steps - cfg.T],
+                 exclude=(net.link_from[target], net.link_to[target]))
 
 
 def _read_agents(cfg, trial, net, traj, obs):
     """Unmonitored-road densities (multi-output) from the observables, the
-    monitored roads T steps back and the unmonitored mean T steps back."""
+    unmonitored mean T steps back (U) and the monitored roads T steps back
+    (K)."""
     steps, first = _span(cfg)
     order = stream_rng(cfg.seed, trial, STREAM_ROADS).permutation(net.n_links)
     monitored = np.sort(order[:cfg.M])
     hidden = np.sort(order[cfg.M:])
-    mask = select_reservoir_fraction(
-        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
     past = traj.k[cfg.washout:steps - cfg.T]
-    fdef = FeatureDef(TAG_A_PRIME, mask, roads=monitored)
-    x = _features(fdef, obs, slice(first, steps),
-                  u=past[:, hidden].mean(axis=1), k_hist=past)
-    return _score(cfg, trial, x, traj.k[first:steps, hidden].T)
+    return _read(cfg, trial, net, obs, traj.k[first:steps, hidden].T,
+                 u=past[:, hidden].mean(axis=1), k=past[:, monitored])
 
 
 def _read_series(cfg, y, z, trial, net, traj, obs):
-    """Series value y(t) from the observables (tag "b"), plus the injected
-    y(t-T) when task2_feature is "a" (tag "a")."""
+    """Series value y(t) from the observables, plus the injected y(t-T) (U)
+    when task2_feature is "a"."""
     steps, first = _span(cfg)
-    mask = select_reservoir_fraction(
-        cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK))
-    with_u = cfg.task2_feature == "a"
-    fdef = FeatureDef(TAG_A if with_u else TAG_B, mask)
-    x = _features(fdef, obs, slice(first, steps),
-                  u=z[cfg.washout:steps - cfg.T] if with_u else None)
-    return _score(cfg, trial, x, y[first:])
+    u = z[cfg.washout:steps - cfg.T] if cfg.task2_feature == "a" else None
+    return _read(cfg, trial, net, obs, y[first:], u=u)
 
 
 def _synth_series(cfg):

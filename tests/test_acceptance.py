@@ -23,8 +23,7 @@ from trafficrc.cli import main
 from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict, load_config
 from trafficrc.lattice import assign_turn_table, build_lattice
-from trafficrc.readout import (FeatureDef, assemble_matrix, log_nrmse,
-                               ridge_fit)
+from trafficrc.readout import assemble_matrix, log_nrmse, ridge_fit
 from trafficrc.signals import TWO_PI, PhaseBank, reservoir_observables
 from trafficrc.tasks import (average_prediction, run_experiment,
                              select_reservoir_fraction, sweep)
@@ -88,7 +87,7 @@ def test_c2_ridge_matches_dense_oracle():
         x = rng.normal(size=(d, length))
         y = rng.normal(size=(int(rng.integers(1, 4)), length))
         beta = (0.0, 1e-8, 1e-2)[i % 3]
-        w = ridge_fit(x, y, beta).weights
+        w = ridge_fit(x, y, beta)
         gram = x @ x.T + beta * np.eye(d)
         oracle = np.linalg.solve(gram, (y @ x.T).T).T
         worst = max(worst, np.abs(w - oracle).max())
@@ -240,10 +239,9 @@ def test_c8_degenerate_inputs():
     x1, x2 = rng.random((2, 40, 9))
     u, k = rng.random(40), rng.random((40, 24))
     ids = np.arange(9)
-    plain = assemble_matrix(FeatureDef("a", ids), x1, x2, u=u)
-    empty = assemble_matrix(
-        FeatureDef("a_prime", ids, roads=np.empty(0, np.int64)),
-        x1, x2, u=u, k_hist=k)
+    plain = assemble_matrix(x1[:, ids], x2[:, ids], u=u)
+    empty = assemble_matrix(x1[:, ids], x2[:, ids], u=u,
+                            k=k[:, np.empty(0, np.int64)])
     no_roads = run_experiment(
         dataclasses.replace(tiny, model="agents", n=2, M=8,
                             train=40, test=20, link_length=20.0))
@@ -259,7 +257,7 @@ def test_c8_degenerate_inputs():
     # whole-task score degrades to no better than the mean predictor
     x = rng.normal(size=(12, 100))
     y = rng.normal(size=(1, 100))
-    w = ridge_fit(x, y, 1e12).weights
+    w = ridge_fit(x, y, 1e12)
     w_limit = y @ x.T / 1e12
     shrunk = np.linalg.norm(w - w_limit) <= 1e-6 * np.linalg.norm(w_limit)
     blunt = run_experiment(dataclasses.replace(tiny, beta=1e12, trials=1))

@@ -65,6 +65,9 @@ def test_unknown_keys_are_named():
     ({"series_synth": {"rho": 1.0}}, "series_synth"),
     ({"sigma_in": 0.0}, "sigma_in"),
     ({"model": "fluid"}, "model"),
+    ({"n": 1001}, "n"),
+    ({"n": 10 ** 200}, "n"),  # 4n(n-1) overflows a float
+    ({"n": 10 ** 200, "total_vehicles": 5.0}, "n"),
 ])
 def test_validation_names_the_key(patch, key):
     data = {"n": 2}
@@ -561,6 +564,13 @@ def test_cli_simulate_refuses_a_single_junction_density_lattice(tmp_path, capsys
     cfg = _write_cfg(tmp_path, n=1)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
     assert "config key 'n'" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("extra", [{}, {"total_vehicles": 5.0}])
+def test_cli_simulate_refuses_a_huge_n(tmp_path, capsys, extra):
+    cfg = _write_cfg(tmp_path, n=10 ** 200, **extra)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("config key 'n'")
 
 
 @pytest.mark.parametrize("extra,args", [

@@ -10,80 +10,64 @@ import scipy.linalg
 
 from trafficrc import tasks
 from trafficrc.io import config_from_dict
-from trafficrc.readout import (TAG_A, TAG_A_PRIME, TAG_B, FeatureDef,
-                               assemble_matrix, log_nrmse, predict, ridge_fit)
+from trafficrc.readout import assemble_matrix, log_nrmse, predict, ridge_fit
 
 _RECIPES = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
-def assemble_features(fdef, x1, x2, u=None, k_hist=None):
-    """Reference: one feature column from full per-junction observable
-    vectors, the scalar delayed input u and per-link densities k_hist."""
+def reference_column(x1, x2, u=None, k=None):
+    """Reference: one feature column from one step's observables, the
+    scalar input u and the extra road densities k."""
     parts = [np.ones(1)]
-    if fdef.tag in (TAG_A, TAG_A_PRIME):
+    if u is not None:
         parts.append(np.atleast_1d(float(u)))
-    parts.append(np.asarray(x1, dtype=float)[fdef.mask])
-    parts.append(np.asarray(x2, dtype=float)[fdef.mask])
-    if fdef.tag == TAG_A_PRIME:
-        parts.append(np.asarray(k_hist, dtype=float)[fdef.roads])
+    parts.append(np.asarray(x1, dtype=float))
+    parts.append(np.asarray(x2, dtype=float))
+    if k is not None:
+        parts.append(np.asarray(k, dtype=float))
     return np.concatenate(parts)
-
-
-def one_column(fdef, x1, x2, u=None, k_hist=None):
-    """assemble_matrix over a single step of the masked observables."""
-    return assemble_matrix(
-        fdef, np.asarray(x1, dtype=float)[None, fdef.mask],
-        np.asarray(x2, dtype=float)[None, fdef.mask],
-        u=None if u is None else np.array([u]),
-        k_hist=None if k_hist is None else np.asarray(k_hist)[None])[:, 0]
 
 
 # --- feature assembly --------------------------------------------------------
 
 def test_single_column_layout():
-    fdef = FeatureDef(TAG_A, mask=[1])
-    x1 = np.array([9.0, 3.0, 9.0])
-    x2 = np.array([9.0, 0.0, 9.0])
-    col = one_column(fdef, x1, x2, u=7.0)
-    assert col.tolist() == [1.0, 7.0, 3.0, 0.0]
-    assert col.size == 4
+    col = assemble_matrix(np.array([[3.0]]), np.array([[0.0]]), u=np.array([7.0]))
+    assert col[:, 0].tolist() == [1.0, 7.0, 3.0, 0.0]
+    assert col.shape == (4, 1)
 
 
 def test_reservoir_only_dimension():
-    fdef = FeatureDef(TAG_B, mask=np.arange(25))
-    assert one_column(fdef, np.zeros(25), np.zeros(25)).size == 51
+    assert assemble_matrix(np.zeros((1, 25)), np.zeros((1, 25))).shape == (51, 1)
     with pytest.raises(ValueError):
-        one_column(fdef, np.zeros(25), np.zeros(25), u=1.0)
-    with pytest.raises(ValueError):
-        one_column(FeatureDef(TAG_A, mask=[0]), np.zeros(25), np.zeros(25))
+        assemble_matrix(np.zeros((1, 25)), np.zeros((1, 24)))
 
 
 def test_lagged_road_columns():
-    fdef = FeatureDef(TAG_A_PRIME, mask=[0, 2], roads=[5, 1])
-    k_hist = np.arange(8.0)
-    col = one_column(fdef, np.zeros(4), np.zeros(4), u=0.5, k_hist=k_hist)
+    col = assemble_matrix(np.zeros((1, 2)), np.zeros((1, 2)), u=np.array([0.5]),
+                          k=np.array([[5.0, 1.0]]))[:, 0]
     assert col.size == 1 + 1 + 4 + 2
     assert col[-2:].tolist() == [5.0, 1.0]
     with pytest.raises(ValueError):
-        FeatureDef(TAG_A_PRIME, mask=[0])  # roads required
+        assemble_matrix(np.zeros((1, 2)), np.zeros((1, 2)), k=np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        one_column(fdef, np.zeros(4), np.zeros(4), u=0.5)
+        assemble_matrix(np.zeros((1, 2)), np.zeros((1, 2)), u=np.zeros(2))
 
 
 def test_matrix_assembly_matches_stacked_columns():
     rng = np.random.default_rng(0)
-    steps, nj, nl = 7, 6, 10
+    steps, nj, nl = 7, 3, 2
     x1 = rng.uniform(size=(steps, nj))
     x2 = rng.uniform(size=(steps, nj))
-    u = rng.uniform(size=steps)
-    k_hist = rng.uniform(size=(steps, nl))
-    fdef = FeatureDef(TAG_A_PRIME, mask=[0, 3, 5], roads=[2, 7])
-    mat = assemble_matrix(fdef, x1[:, fdef.mask], x2[:, fdef.mask], u=u,
-                          k_hist=k_hist)
-    assert mat.shape == (1 + 1 + 2 * 3 + 2, steps)
-    for s in range(steps):
-        col = assemble_features(fdef, x1[s], x2[s], u=u[s], k_hist=k_hist[s])
-        assert np.array_equal(mat[:, s], col)
+    for u, k in [(None, None), (rng.uniform(size=steps), None),
+                 (None, rng.uniform(size=(steps, nl))),
+                 (rng.uniform(size=steps), rng.uniform(size=(steps, nl)))]:
+        mat = assemble_matrix(x1, x2, u=u, k=k)
+        dim = 1 + (u is not None) + 2 * nj + (0 if k is None else nl)
+        assert mat.shape == (dim, steps)
+        for s in range(steps):
+            col = reference_column(x1[s], x2[s], u=None if u is None else u[s],
+                                   k=None if k is None else k[s])
+            assert np.array_equal(mat[:, s], col)
 
 
 # --- ridge regression --------------------------------------------------------
@@ -93,11 +77,11 @@ def test_ridge_matches_dense_normal_equations():
     x = rng.standard_normal((12, 300))
     y = rng.standard_normal((3, 300))
     beta = 0.37
-    model = ridge_fit(x, y, beta)
+    w = ridge_fit(x, y, beta)
     gram = x @ x.T + beta * np.eye(12)
     w_ref = y @ x.T @ np.linalg.inv(gram)
-    assert model.weights == pytest.approx(w_ref, rel=1e-9, abs=1e-12)
-    assert model.weights.shape == (3, 12)
+    assert w == pytest.approx(w_ref, rel=1e-9, abs=1e-12)
+    assert w.shape == (3, 12)
 
 
 def test_ridge_zero_beta_reduces_to_least_squares():
@@ -105,17 +89,17 @@ def test_ridge_zero_beta_reduces_to_least_squares():
     x = rng.standard_normal((5, 100))
     w_true = rng.standard_normal((1, 5))
     y = w_true @ x
-    model = ridge_fit(x, y, 0.0)
-    assert model.weights == pytest.approx(w_true, rel=1e-9, abs=1e-11)
+    w = ridge_fit(x, y, 0.0)
+    assert w == pytest.approx(w_true, rel=1e-9, abs=1e-11)
 
 
 def test_scalar_shrinkage_closed_form():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 50))
     beta = 2.5
-    model = ridge_fit(x, x[0], beta)
+    w = ridge_fit(x, x[0], beta)
     sxx = float(x[0] @ x[0])
-    assert model.weights[0, 0] == pytest.approx(sxx / (sxx + beta), rel=1e-12)
+    assert w[0, 0] == pytest.approx(sxx / (sxx + beta), rel=1e-12)
 
 
 def test_huge_beta_shrinks_predictions_toward_zero():
@@ -123,11 +107,11 @@ def test_huge_beta_shrinks_predictions_toward_zero():
     x = rng.standard_normal((4, 200))
     y = rng.standard_normal(200) * 5.0
     beta = 1e12
-    model = ridge_fit(x, y, beta)
+    w = ridge_fit(x, y, beta)
     # in the strong-ridge limit W -> Y X^T / beta
     w_limit = (y[None, :] @ x.T) / beta
-    assert model.weights == pytest.approx(w_limit, rel=1e-9)
-    pred = predict(model, x)
+    assert w == pytest.approx(w_limit, rel=1e-9)
+    pred = predict(w, x)
     assert np.max(np.abs(pred)) < 1e-8
 
 
@@ -136,8 +120,8 @@ def test_singular_system_without_regularization_raises():
     y = np.arange(40.0)
     with pytest.raises(ValueError, match="beta > 0"):
         ridge_fit(x, y, 0.0)
-    model = ridge_fit(x, y, 1e-6)  # regularized solve succeeds
-    assert np.all(np.isfinite(model.weights))
+    w = ridge_fit(x, y, 1e-6)  # regularized solve succeeds
+    assert np.all(np.isfinite(w))
 
 
 def assert_matches_scipy_solve(x, y, beta):
@@ -149,7 +133,7 @@ def assert_matches_scipy_solve(x, y, beta):
     y = np.atleast_2d(y)
     a = x @ x.T + beta * np.eye(x.shape[0])
     w_ref = scipy.linalg.solve(a, x @ y.T, assume_a="pos").T
-    w = ridge_fit(x, y, beta).weights
+    w = ridge_fit(x, y, beta)
 
     def objective(w):
         return np.sum((y - w @ x) ** 2) + beta * np.sum(w ** 2)
@@ -205,9 +189,9 @@ def test_fit_and_predict_validation():
         ridge_fit(x, np.full(10, np.nan), 1.0)
     with pytest.raises(ValueError):
         ridge_fit(x, np.ones(10), -1.0)
-    model = ridge_fit(x, np.ones(10), 1.0)
+    w = ridge_fit(x, np.ones(10), 1.0)
     with pytest.raises(ValueError):
-        predict(model, np.ones((3, 4)))
+        predict(w, np.ones((3, 4)))
 
 
 # --- scoring -----------------------------------------------------------------

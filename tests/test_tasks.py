@@ -10,7 +10,7 @@ from trafficrc.agents import AgentSim
 from trafficrc.density import DensitySim
 from trafficrc.io import ConfigError, config_from_dict
 from trafficrc.lattice import build_lattice
-from trafficrc.readout import TAG_A, FeatureDef, assemble_matrix, log_nrmse
+from trafficrc.readout import assemble_matrix, log_nrmse
 from trafficrc.signals import reservoir_observables
 from trafficrc.tasks import (average_prediction, default_target_link,
                              lag_diagnostic, run_experiment, run_simulation,
@@ -444,25 +444,27 @@ def test_lean_trajectories_read_out_as_full_ones(kind):
                             [readout(trial, net, ft, ft.observables())])
 
 
+def _spy_readout(monkeypatch):
+    """Every readout's mask and the x1 and x2 it assembles, in call order."""
+    masks, seen = [], []
+
+    def pick(*args, **kwargs):
+        masks.append(select_reservoir_fraction(*args, **kwargs))
+        return masks[-1]
+
+    def assemble(x1, x2, **kwargs):
+        seen.append((masks[-1], x1, x2))
+        return assemble_matrix(x1, x2, **kwargs)
+
+    monkeypatch.setattr(tasks, "select_reservoir_fraction", pick)
+    monkeypatch.setattr(tasks, "assemble_matrix", assemble)
+    return seen
+
+
 def test_readout_features_derive_the_observables_of_their_mask(monkeypatch):
-    # features gathered from the trial's shared X1/X2 equal those derived
-    # at just their rows and mask junctions
-    cfg = config_from_dict(dict(_SMALL_DENSITY))
-    net, traj = run_simulation(dataclasses.replace(cfg, steps=80))
-    x1, x2 = reservoir_observables(traj.u, traj.theta)
-    fdef = FeatureDef(TAG_A, np.array([7, 0, 4]))
-    u = np.arange(30.0)
-    got = tasks._features(fdef, traj.observables(), slice(40, 70), u=u)
-    want = assemble_matrix(fdef, x1[40:70, fdef.mask], x2[40:70, fdef.mask], u=u)
-    assert got.tobytes() == want.tobytes()
-    # so do those of every readout of a sweep, two per trial
-    seen = []
-
-    def spy(fdef, x1, x2, **kwargs):
-        seen.append((fdef.mask, x1, x2))
-        return assemble_matrix(fdef, x1, x2, **kwargs)
-
-    monkeypatch.setattr(tasks, "assemble_matrix", spy)
+    # features gathered from the trial's shared X1/X2 equal those derived at
+    # just their rows and mask junctions, for every readout of a sweep
+    seen = _spy_readout(monkeypatch)
     for kind in _SMALL:
         cfg = config_from_dict(dict(_SMALL[kind]))
         net = build_lattice(cfg.n, cfg.link_length)
@@ -473,9 +475,27 @@ def test_readout_features_derive_the_observables_of_their_mask(monkeypatch):
         sweep(cfg, "p", [0.4, 1.0])
         assert len(seen) == 2 * cfg.trials
         for i, (mask, x1, x2) in enumerate(seen):
-            want = trajs[i // 2].observables(slice(first, steps))
-            assert x1.tobytes() == want[0][:, mask].tobytes(), (kind, i)
-            assert x2.tobytes() == want[1][:, mask].tobytes(), (kind, i)
+            x1_ref, x2_ref = reservoir_observables(
+                trajs[i // 2].u[first:steps], trajs[i // 2].theta[first:steps])
+            assert x1.tobytes() == x1_ref[:, mask].tobytes(), (kind, i)
+            assert x2.tobytes() == x2_ref[:, mask].tobytes(), (kind, i)
+
+
+@pytest.mark.parametrize("kind", ["density", "agents", "series"])
+def test_only_the_density_readout_excludes_junctions(monkeypatch, kind):
+    # at p=1 the density readout keeps the target road's two end junctions
+    # out of its mask; the other readouts use every junction
+    seen = _spy_readout(monkeypatch)
+    cfg = config_from_dict(dict(_SMALL[kind], p=1.0))
+    run_experiment(cfg)
+    nj = cfg.n * cfg.n
+    want = nj - 2 if kind == "density" else nj
+    assert [x1.shape[1] for _, x1, _ in seen] == [want] * cfg.trials
+    if kind == "density":
+        net = build_lattice(cfg.n, cfg.link_length)
+        target = tasks.default_target_link(net)
+        ends = {int(net.link_from[target]), int(net.link_to[target])}
+        assert all(ends.isdisjoint(mask.tolist()) for mask, _, _ in seen)
 
 
 # --- one-shot simulation -------------------------------------------------------
