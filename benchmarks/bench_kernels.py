@@ -12,11 +12,17 @@ median and quartiles of ms per step over rounds and the median us per link
 per step, which stays flat when a step is linear in the lattice size.
 
 The union rows time one union of K blocks (block b seeded 7 + b) of the
-n = 3 agents model and of the n = 5 density model, as the tasks batch
-trials: ms per step per trial and us per link show how far K blocks in one
-set of arrays amortise the per-call overhead of a small lattice. Each
-model's unions are timed round-robin, one round of each K in turn, so a
-drift of the host's speed reaches every K alike.
+n = 3 agents model and of the n = 5 density model, the lattices of the
+agents and density recipes, as the tasks batch trials: ms per step per
+trial and us per link show how far K blocks in one set of arrays amortise
+the per-call overhead of a small lattice. Each row also gives the bytes of
+u and k that a trial of the model's recipe stores (tasks._trial_bytes), per
+trial and for K trials, which the tasks hold within tasks._BATCH_BYTES.
+Each model's unions are timed round-robin, one round of each K in turn, so
+a drift of the host's speed reaches every K alike; K = 1 runs twice per
+round, and each row's ratio is the median and quartiles over rounds of its
+ms per trial-step over that of the first K = 1 union in the same round. The
+second K = 1 union's row (A/A) is the noise floor of those ratios.
 
 --write-steps N times Trajectory.write_csv of an N-step trajectory of the
 n = 40 density model (the trajectory.csv of `simulate`), in ms per row: once
@@ -52,11 +58,11 @@ import time
 import numpy as np
 
 import trafficrc
+from trafficrc import tasks
 from trafficrc.agents import AgentSim, init_agents
 from trafficrc.density import DensitySim, init_density
-from trafficrc.io import config_from_dict
+from trafficrc.io import config_from_dict, load_config
 from trafficrc.lattice import assign_turn_table, build_lattice
-from trafficrc.tasks import _phase_bank
 
 
 def build_sim(model, n, seed=7):
@@ -64,7 +70,7 @@ def build_sim(model, n, seed=7):
     rng = np.random.default_rng(cfg.seed)
     net = build_lattice(cfg.n, cfg.link_length)
     table = assign_turn_table(net, cfg.turn_weights, rng)
-    bank = _phase_bank(cfg, rng)
+    bank = tasks._phase_bank(cfg, rng)
     if model == "agents":
         state = init_agents(net, table, rng, per_link=cfg.agents_per_link,
                             params=cfg.ov)
@@ -73,14 +79,22 @@ def build_sim(model, n, seed=7):
     return DensitySim(net, table, bank, q0)
 
 
-UNION_N = {"agents": 3, "density": 5}
+UNION_RECIPES = {"agents": "agents_road_subset.json",
+                 "density": "density_link_p_sweep.json"}
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 ROUNDS = 20
 
 
+def summary(values):
+    """Median, quartiles and mean of values."""
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "mean": round(float(np.mean(values)), 4)}
+
+
 def time_round_robin(sims, steps, warmup):
-    """ms per step of each sim: ROUNDS rounds of run(steps / ROUNDS), the
-    sims taking turns within each round. Returns the median, quartiles and
-    mean over rounds, one dict per sim."""
+    """ms per step of each sim, shape (sims, ROUNDS): ROUNDS rounds of
+    run(steps / ROUNDS), the sims taking turns within each round."""
     for sim in sims:
         sim.run(warmup)
     per = max(1, steps // ROUNDS)
@@ -90,10 +104,37 @@ def time_round_robin(sims, steps, warmup):
             start = time.perf_counter()
             sim.run(per)
             ms[i, r] = (time.perf_counter() - start) * 1e3 / per
-    return [{"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-             "mean": round(row.mean(), 4)}
-            for row, (q1, med, q3) in zip(ms, np.percentile(ms, [25, 50, 75],
-                                                            axis=1).T)]
+    return ms
+
+
+def recipe_trial_bytes(model):
+    """(n, bytes of u and k a trial of the model's recipe stores)."""
+    cfg = load_config(CONFIGS / UNION_RECIPES[model])
+    _, links, _ = tasks._plan(cfg, build_lattice(cfg.n, cfg.link_length))
+    return cfg.n, tasks._trial_bytes(cfg, tasks._span(cfg)[0], links)
+
+
+def time_unions(model, ks, steps, warmup):
+    """One row per K of ks (K = 1 first, the A/A control), timed round-robin
+    with a reference K = 1 union."""
+    n, trial_bytes = recipe_trial_bytes(model)
+    unions = []
+    for k in [1, *ks]:
+        sims = [build_sim(model, n, seed=7 + b) for b in range(k)]
+        unions.append(type(sims[0]).union(sims))
+    per_trial = time_round_robin(unions, steps, warmup) / np.array([1, *ks])[:, None]
+    rows = []
+    for k, sim, ms in zip(ks, unions[1:], per_trial[1:]):
+        t = summary(ms * k)
+        rows.append({"n": n, "blocks": k, "links": sim.net.n_links,
+                     "steps": steps, "ms_per_step": t,
+                     "ms_per_trial_step": round(t["median"] / k, 4),
+                     "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3),
+                     "vs_k1": summary(ms / per_trial[0]),
+                     "stored_bytes_per_trial": trial_bytes,
+                     "stored_bytes": k * trial_bytes})
+    rows[0]["control"] = "A/A"
+    return rows
 
 
 WRITE_N = 40
@@ -165,7 +206,7 @@ def main(argv=None):
                     help="lattice sizes for the density model")
     ap.add_argument("--union-k", type=_sizes, default=[1, 2, 4],
                     help="block counts of the n=3 agents and n=5 density "
-                         "unions")
+                         "unions; K=1 always runs, as the A/A control")
     ap.add_argument("--agents-steps", type=int, default=200,
                     help="timed reservoir steps per agents size")
     ap.add_argument("--density-steps", type=int, default=2000,
@@ -196,7 +237,7 @@ def main(argv=None):
                                 ("density", args.density_n, args.density_steps)):
         for n in sizes:
             sim = build_sim(model, n)
-            t = time_round_robin([sim], steps, args.warmup)[0]
+            t = summary(time_round_robin([sim], steps, args.warmup)[0])
             r = {"n": n, "links": sim.net.n_links, "steps": steps,
                  "ms_per_step": t,
                  "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3)}
@@ -204,25 +245,23 @@ def main(argv=None):
             print(f"{model:<8} {n:>3} {r['links']:>6} {t['median']:>9.3f} "
                   f"{t['q1']:>9.3f} {t['q3']:>9.3f} {r['us_per_link']:>8.2f}")
     if args.union_k:
-        print(f"\n{'union':<8} {'n':>3} {'K':>3} {'links':>6} {'ms/step':>9} "
-              f"{'ms/trial':>9} {'us/link':>8}")
+        print(f"\n{'union':<8} {'n':>3} {'K':>4} {'links':>6} {'ms/step':>9} "
+              f"{'ms/trial':>9} {'us/link':>8} {'vs K=1':>7} {'q1':>6} {'q3':>6} "
+              f"{'MB/trial':>8} {'MB':>6}")
+        # K = 1 first: its row is the A/A control of every ratio
+        ks = list(dict.fromkeys([1, *args.union_k]))
         for model, steps in (("agents", args.agents_steps),
                              ("density", args.density_steps)):
-            n = UNION_N[model]
-            unions = []
-            for k in args.union_k:
-                sims = [build_sim(model, n, seed=7 + b) for b in range(k)]
-                unions.append(type(sims[0]).union(sims))
-            times = time_round_robin(unions, steps, args.warmup)
-            for k, sim, t in zip(args.union_k, unions, times):
-                r = {"n": n, "blocks": k, "links": sim.net.n_links,
-                     "steps": steps, "ms_per_step": t,
-                     "ms_per_trial_step": round(t["median"] / k, 4),
-                     "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3)}
+            for r in time_unions(model, ks, steps, args.warmup):
                 rows[f"{model}_union"].append(r)
-                print(f"{model:<8} {n:>3} {k:>3} {r['links']:>6} "
+                t, v = r["ms_per_step"], r["vs_k1"]
+                k = "A/A" if r.get("control") else r["blocks"]
+                print(f"{model:<8} {r['n']:>3} {k:>4} {r['links']:>6} "
                       f"{t['median']:>9.3f} {r['ms_per_trial_step']:>9.3f} "
-                      f"{r['us_per_link']:>8.2f}")
+                      f"{r['us_per_link']:>8.2f} {v['median']:>7.3f} "
+                      f"{v['q1']:>6.3f} {v['q3']:>6.3f} "
+                      f"{r['stored_bytes_per_trial'] / 1e6:>8.2f} "
+                      f"{r['stored_bytes'] / 1e6:>6.2f}")
     if args.write_steps > 0:
         w = time_writer(args.write_steps)
         rows["writer"].append({"n": WRITE_N, "rows": args.write_steps, **w})

@@ -26,20 +26,28 @@ class Trajectory:
     """A run's record; row s holds the state at time step t0 + s, taken
     before that step moves any traffic.
 
-    u: junction inflow sums (Q/L over all incoming links), theta: signal
-    phases, k: densities Q/L of the links in `links` (None: every link, in
-    canonical order). The observables X1 = u cos^2(theta) and
-    X2 = u sin^2(theta) are derived on read (observables).
+    u: junction inflow sums (Q/L over all incoming links), k: densities Q/L
+    of the links in `links` (None: every link, in canonical order). bank is
+    a copy of the phases at t0 and inputs the run's external input (None:
+    none), from which the signal phases theta are derived on read, as are
+    the observables X1 = u cos^2(theta) and X2 = u sin^2(theta).
     """
     t0: int
     u: np.ndarray      # (steps, n_junctions)
-    theta: np.ndarray  # (steps, n_junctions)
     k: np.ndarray      # (steps, len(links) or n_links)
+    bank: PhaseBank
     links: np.ndarray | None = None
+    inputs: np.ndarray | None = None
 
     @property
     def steps(self):
         return self.u.shape[0]
+
+    @property
+    def theta(self):
+        """The signal phases of every row, (steps, n_junctions): the run's
+        schedule, bit for bit."""
+        return self.bank.copy().schedule(self.t0, self.steps, self.inputs)
 
     def observables(self, rows=slice(None)):
         """(X1, X2) at the given rows, each (rows, n_junctions)."""
@@ -77,6 +85,7 @@ class Trajectory:
         cols += [f"x2_{j}" for j in range(nj)]
         cols += [f"k_{net.link_from[l]}_{net.link_to[l]}" for l in range(net.n_links)]
         steps = self.steps
+        theta = self.theta
         two_cpus = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                     and len(os.sched_getaffinity(0)) >= 2)
         split = steps // 2 if two_cpus else steps
@@ -87,13 +96,13 @@ class Trajectory:
         # missed
         child = os.fork() if split < steps else None
         if child == 0:
-            _child_write(self, part, split, steps)
+            _child_write(self, theta, part, split, steps)
         opened = False
         try:
             with open(path, "w") as fh:
                 opened = True
                 fh.write(",".join(cols) + "\n")
-                self._write_rows(fh, 0, split)
+                self._write_rows(fh, theta, 0, split)
                 if child is not None:
                     status = os.waitpid(child, 0)[1]
                     child = None
@@ -119,13 +128,13 @@ class Trajectory:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(part)
 
-    def _write_rows(self, fh, start, stop):
-        """Write rows start..stop-1; tolist() yields Python floats, whose
-        repr is the shortest round trip."""
+    def _write_rows(self, fh, theta, start, stop):
+        """Write rows start..stop-1, whose phases are theta; tolist() yields
+        Python floats, whose repr is the shortest round trip."""
         for s in range(start, stop):
             # one row, and within it one array, at a time: no whole-run X1/X2
             # arrays and no whole-row lists stay alive
-            x1, x2 = self.observables(s)
+            x1, x2 = reservoir_observables(self.u[s], theta[s])
             fh.write(str(self.t0 + s))
             for vals in (self.u[s], x1, x2, self.k[s]):
                 # the leading "" puts a comma before each value, none if empty
@@ -133,14 +142,14 @@ class Trajectory:
             fh.write("\n")
 
 
-def _child_write(traj, path, start, stop):
+def _child_write(traj, theta, path, start, stop):
     """In a forked child: write rows start..stop-1 of traj to path, then
     leave without running the parent's exit handlers or flushing its
     inherited buffers. Exits 1, after printing the traceback, on failure."""
     code = 1
     try:
         with open(path, "w") as fh:
-            traj._write_rows(fh, start, stop)
+            traj._write_rows(fh, theta, start, stop)
         code = 0
     except Exception:
         traceback.print_exc()
@@ -162,7 +171,9 @@ def init_density(net, total_vehicles, rng):
     return rng.dirichlet(np.ones(net.n_links)) * total
 
 
-# bytes of step densities that _Reservoir.run buffers between two recordings
+# bytes of step densities that _Reservoir.run buffers between two recordings;
+# the rows they hold are also the rows whose phases and gates it computes at
+# a time
 _RECORD_BYTES = 1 << 18
 
 
@@ -247,13 +258,15 @@ class _Reservoir:
         injected at step t. links selects the stored density columns by
         block link id, the same links of every block (None: every link).
 
-        The phases never see the traffic, so the whole run's phase schedule
-        and gates are computed first; the loop only steps the model.
+        The phases never see the traffic, so the phase schedule and gates
+        of each record block (see _RECORD_BYTES) are computed just before
+        its steps, and the trajectory keeps the phases at t0 and the inputs,
+        not the schedule. Bad input is refused before the first step.
         """
         net = self.net
         t0 = self.t
-        theta = self.bank.schedule(t0, steps, inputs)
-        go = link_go(theta, net)
+        self.bank.drive(t0, steps, inputs)
+        bank = self.bank.copy()
         cols = slice(None) if links is None else (
             self._link_off[:-1, None] + np.asarray(links, dtype=np.int64)).ravel()
         nl, nj = net.n_links, net.n_junctions
@@ -269,13 +282,15 @@ class _Reservoir:
         for start in range(0, steps, rows):
             stop = min(start + rows, steps)
             r = stop - start
-            for s in range(start, stop):
-                dens[s - start] = self.step(go[s])
+            go = link_go(self.bank.schedule(t0 + start, r, inputs), net)
+            for s in range(r):
+                dens[s] = self.step(go[s])
             k[start:stop] = dens[:r, cols]
             u[start:stop] = np.bincount(
                 bins[:r * nl], weights=dens[:r].ravel(),
                 minlength=r * nj).reshape(r, nj)
-        return Trajectory(t0, u, theta, k, None if links is None else cols)
+        return Trajectory(t0, u, k, bank, None if links is None else cols,
+                          inputs)
 
     def split(self, traj):
         """Per-block trajectories of a run of this sim, in block order.
@@ -295,8 +310,8 @@ class _Reservoir:
                 links = traj.links[ks] - lo[b]
             out.append(Trajectory(
                 traj.t0, np.ascontiguousarray(traj.u[:, js]),
-                np.ascontiguousarray(traj.theta[:, js]),
-                np.ascontiguousarray(traj.k[:, ks]), links))
+                np.ascontiguousarray(traj.k[:, ks]), traj.bank.take(js),
+                links, traj.inputs))
         return out
 
 

@@ -59,6 +59,13 @@ _WEIGHTS = ("3 finite weights >= 0 that sum to 1",
 # the lattice is built by Python loops over its n^2 junctions, at about 220 B
 # per link: n = 1000 (about 4 million links) already takes about 0.9 GB
 _N_MAX = 1000
+# a run stores u, one row per step: a million steps of the 5x5 recipe hold
+# 200 MB of it, and each further key of the span adds as many
+_SPAN_MAX = 10**6
+# every trial's teacher and prediction stay in memory until the results are
+# written, one series file per trial and value: 10^4 trials of the recipes
+# hold about 0.3 GB
+_TRIALS_MAX = 10**4
 
 
 def _choice(*values):
@@ -124,21 +131,21 @@ class ExperimentConfig:
     agents_per_link: int = _key(10, int, ge=0)
     turn_weights: tuple = _key((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), _WEIGHTS)
     tau: float = _key(100.0, float, "run", gt=0)
-    T: int = _key(5, int, "span", ge=0)
+    T: int = _key(5, int, "span", ge=0, le=_SPAN_MAX)
     beta: float = _key(1e-8, float, "readout", ge=0)
     p: float = _key(1.0, float, "readout", ge=0, le=1)
     M: int = _key(20, int, "readout", ge=0)
-    train: int = _key(4000, int, ge=1)
-    test: int = _key(2000, int, ge=2)
-    washout: int = _key(100, int, ge=0)
-    trials: int = _key(20, int, ge=1)
+    train: int = _key(4000, int, ge=1, le=_SPAN_MAX)
+    test: int = _key(2000, int, ge=2, le=_SPAN_MAX)
+    washout: int = _key(100, int, ge=0, le=_SPAN_MAX)
+    trials: int = _key(20, int, ge=1, le=_TRIALS_MAX)
     seed: int = _key(12345, int, ge=0)
     target_link: tuple | None = _key(None, _PAIR)
     series_csv: str | None = _key(None, str)
     series_synth: SynthSpec = _key(SynthSpec(), SynthSpec)
     sigma_in: float = _key(1.0, float, gt=0)
     trial_average: int = _key(5, int, ge=1)
-    steps: int | None = _key(None, int, ge=1)
+    steps: int | None = _key(None, int, ge=1, le=_SPAN_MAX)
     ov: OVParams = _key(OVParams(), OVParams)
     task2_feature: str = _key("b", _choice("a", "b"))
 
@@ -348,33 +355,43 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _trial_series_csv(path, result):
+def _series_heads(result):
+    """The text that opens each row of a trial's series CSV: t and the
+    teacher values."""
     teacher = np.atleast_2d(np.asarray(result.teacher, dtype=float))
+    t0 = int(result.t0)
+    text = _rows_text(range(t0, t0 + teacher.shape[1]), teacher.tolist())
+    return text.split("\n")[:-1]
+
+
+def _trial_series_csv(path, result, heads=None):
+    """Write a trial's t, teacher and predicted columns. heads, if given, is
+    _series_heads of a result with the same t0 and teacher bits."""
     predicted = np.atleast_2d(np.asarray(result.predicted, dtype=float))
-    m = teacher.shape[0]
+    m = predicted.shape[0]
     if m == 1:
         header = ["t", "teacher", "predicted"]
     else:
         header = (["t"] + [f"teacher_{i}" for i in range(m)]
                   + [f"predicted_{i}" for i in range(m)])
-    t0 = int(result.t0)
+    if heads is None:
+        heads = _series_heads(result)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(_rows_text(range(t0, t0 + teacher.shape[1]),
-                            np.vstack([teacher, predicted]).tolist()))
+        fh.write(_rows_text(heads, predicted.tolist(), "%s"))
 
 
-def _rows_text(times, columns):
-    """The CSV rows t,c_0,c_1,.. as one %-format of a row template repeated
-    per row: "%d" of a Python int is its str, and "%r" of a Python float
-    its repr, the shortest round trip. columns holds lists of Python
-    floats, each as long as times."""
+def _rows_text(lead, columns, lead_fmt="%d"):
+    """The CSV rows lead,c_0,c_1,.. as one %-format of a row template
+    repeated per row: "%d" of a Python int is its str, "%s" of a str the
+    str itself, and "%r" of a Python float its repr, the shortest round
+    trip. columns holds lists of Python floats, each as long as lead."""
     step = len(columns) + 1
-    cells = [None] * (len(times) * step)
-    cells[::step] = times
+    cells = [None] * (len(lead) * step)
+    cells[::step] = lead
     for i, col in enumerate(columns, 1):
         cells[i::step] = col
-    return ("%d" + ",%r" * len(columns) + "\n") * len(times) % tuple(cells)
+    return (lead_fmt + ",%r" * len(columns) + "\n") * len(lead) % tuple(cells)
 
 
 def _manifest(out_dir, command, seed, cfg, outputs, notes=None):
@@ -437,11 +454,18 @@ def emit_sweep_results(out_dir, command, cfg, sweep, notes=None):
                [[sweep.param, row["value"], float(row["mean"]),
                  float(row["stderr"]), row["trials"]] for row in sweep.rows])
     outputs.append("summary.csv")
+    heads = {}  # trial -> (t0 and teacher bits, _series_heads) of its last series
     for value, results in sweep.by_value.items():
         vtag = _value_tag(value)
         for r in results:
+            # a readout sweep gives a trial one teacher for every value, so
+            # its text is formatted once; the text is a function of the bits
+            teacher = np.asarray(r.teacher, dtype=float)
+            key = (r.t0, teacher.shape, teacher.tobytes())
+            if heads.get(r.trial, (None,))[0] != key:
+                heads[r.trial] = (key, _series_heads(r))
             name = f"value_{vtag}_trial_{r.trial:03d}_series.csv"
-            _trial_series_csv(os.path.join(out_dir, name), r)
+            _trial_series_csv(os.path.join(out_dir, name), r, heads[r.trial][1])
             outputs.append(name)
     if sweep.rows:
         xs = np.asarray([row["value"] for row in sweep.rows], dtype=float)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 __all__ = [
@@ -91,8 +89,8 @@ def build_lattice(n, link_length=1.0):
             raise ValueError(
                 f"link_length sequence must have length {n_links}, got {length.shape}")
         length = length.copy()
-    if n_links and not np.all(length > 0):
-        raise ValueError("link lengths must be positive")
+    if n_links and not np.all((length > 0) & np.isfinite(length)):
+        raise ValueError("link lengths must be positive and finite")
     return Network(n, link_from, link_to, link_dir, length)
 
 
@@ -161,20 +159,21 @@ def assign_turn_table(net, w, rng=None, permute=True):
     return TurnTable(np.nonzero(have)[0], targets[have], vals[have], net.n_links)
 
 
+# one link of network.json, as json.dump(..., indent=1) lays it out
+_LINK_JSON = '  {\n   "from": %d,\n   "to": %d,\n   "length": %r\n  }'
+
+
 def save_network(path, net):
     """Write the network as JSON.
 
     Schema: {"n": int, "links": [{"from", "to", "length"}]}, links in
-    canonical order.
+    canonical order. The text is that of json.dump(data, fh, indent=1) and a
+    newline, written through one template: "%d" of a Python int is its str
+    and "%r" of a finite Python float its repr, as json writes them.
     """
-    data = {
-        "n": net.n,
-        "links": [
-            {"from": int(net.link_from[l]), "to": int(net.link_to[l]),
-             "length": float(net.length[l])}
-            for l in range(net.n_links)
-        ],
-    }
+    cells = [v for link in zip(net.link_from.tolist(), net.link_to.tolist(),
+                               net.length.tolist()) for v in link]
+    links = ",\n".join([_LINK_JSON] * net.n_links) % tuple(cells)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "n": %d,\n "links": %s\n}\n'
+                 % (net.n, f"[\n{links}\n ]" if links else "[]"))

@@ -7,30 +7,40 @@ import numpy as np
 __all__ = ["assemble_matrix", "ridge_fit", "predict", "log_nrmse"]
 
 
-def assemble_matrix(x1, x2, u=None, k=None):
+def assemble_matrix(x1, x2, u=None, k=None, cols=None):
     """The feature matrix X, shape (dim, steps): the rows [1, U, X1, X2, K],
     with U and K only when given.
 
-    x1 and x2 hold the observables of the reservoir junctions, one row per
-    step and one column per junction; u holds one input value per step and k
-    one column per extra road, both already delayed by the caller.
+    x1 and x2 hold the observables, one row per step and one column per
+    junction, of which the reservoir junctions cols (None: every column)
+    are gathered straight into X, one column at a time; u holds one input
+    value per step and k one column per extra road, both already delayed by
+    the caller.
     """
     if x1.ndim != 2 or x2.shape != x1.shape:
         raise ValueError("x1 and x2 must be (steps, junctions) arrays of one shape")
     steps = x1.shape[0]
-    parts = [np.ones((1, steps))]
+    cols = range(x1.shape[1]) if cols is None else np.asarray(cols).tolist()
     if u is not None:
         u = np.asarray(u, dtype=float)
         if u.shape != (steps,):
             raise ValueError("U must hold one scalar per step")
-        parts.append(u[None, :])
-    parts.append(x1.T)
-    parts.append(x2.T)
+    if k is not None and (k.ndim != 2 or k.shape[0] != steps):
+        raise ValueError("K must hold one row per step")
+    x = np.empty((1 + (u is not None) + 2 * len(cols)
+                  + (0 if k is None else k.shape[1]), steps))
+    x[0] = 1.0
+    row = 1
+    if u is not None:
+        x[row] = u
+        row += 1
+    for obs in (x1, x2):
+        for j in cols:
+            x[row] = obs[:, j]
+            row += 1
     if k is not None:
-        if k.ndim != 2 or k.shape[0] != steps:
-            raise ValueError("K must hold one row per step")
-        parts.append(k.T)
-    return np.concatenate(parts, axis=0)
+        x[row:] = k.T
+    return x
 
 
 def ridge_fit(x, y, beta):

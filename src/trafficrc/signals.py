@@ -58,23 +58,32 @@ class PhaseBank:
         self.theta = self.xi + TWO_PI * (t + 1) / self.tau + self._input_acc
         return self
 
+    def drive(self, t0, steps, inputs):
+        """inputs[t0:t0+steps] as floats (None without inputs), after checking
+        that this bank takes input and that the run's inputs are there and
+        finite."""
+        if inputs is None:
+            return None
+        if self.win is None:
+            raise ValueError("external input requires configured input weights")
+        if len(inputs) < t0 + steps:
+            raise ValueError("inputs shorter than the requested run")
+        inputs = np.asarray(inputs[t0:t0 + steps], dtype=float)
+        if not np.all(np.isfinite(inputs)):
+            raise ValueError("external input must be finite")
+        return inputs
+
     def schedule(self, t0, steps, inputs=None):
         """Phases at the start of steps t0 .. t0+steps-1, shape (steps, n).
 
         Row 0 is the current theta. inputs[t], if given, is injected at step
         t. Leaves the bank where step(t, inputs[t]) for t = t0 .. t0+steps-1
         would, and every row equals the stepped phase bit for bit: the
-        closed form plus a sequential cumsum of the input terms. Bad input
-        is refused before the bank changes.
+        closed form plus a sequential cumsum of the input terms. So
+        consecutive schedules of a run's pieces equal one schedule of the
+        run. Bad input is refused before the bank changes.
         """
-        if inputs is not None:
-            if self.win is None:
-                raise ValueError("external input requires configured input weights")
-            if len(inputs) < t0 + steps:
-                raise ValueError("inputs shorter than the requested run")
-            inputs = np.asarray(inputs[t0:t0 + steps], dtype=float)
-            if not np.all(np.isfinite(inputs)):
-                raise ValueError("external input must be finite")
+        inputs = self.drive(t0, steps, inputs)
         t = np.arange(t0, t0 + steps)[:, None]
         acc = self._input_acc
         if inputs is not None:
@@ -89,7 +98,16 @@ class PhaseBank:
         return rows[:-1]
 
     def copy(self):
-        return PhaseBank.concat([self])
+        return self.take(slice(None))
+
+    def take(self, junctions):
+        """A bank of the given junctions (a slice or index array) of this
+        one, in their current state."""
+        out = PhaseBank(self.tau[junctions], self.xi[junctions],
+                        win=None if self.win is None else self.win[junctions])
+        out.theta = self.theta[junctions].copy()
+        out._input_acc = self._input_acc[junctions].copy()
+        return out
 
     @classmethod
     def concat(cls, banks):
@@ -121,9 +139,16 @@ def reservoir_observables(u, theta):
     u >= 0; X1 + X2 recovers u up to a few ulp.
     """
     u = np.asarray(u, dtype=float)
+    # (u * c) * c, as u * c * c associates, with one product array per
+    # observable
     c = np.cos(theta)
+    x1 = u * c
+    x1 *= c
+    del c
     s = np.sin(theta)
-    return u * c * c, u * s * s
+    x2 = u * s
+    x2 *= s
+    return x1, x2
 
 
 def link_go(theta, net):

@@ -152,21 +152,30 @@ def lag_diagnostic(y, y_hat, max_lag):
     return best
 
 
-# trials per union: enough blocks for about this many links. Two n=3 agents
-# blocks (48 links) step a trial about 30% cheaper than one; more blocks save
-# more but keep more trajectories alive, and n >= 4 stays one trial a time.
-_BATCH_LINKS = 48
+# A union of K trials keeps K * _trial_bytes alive from its run through the
+# trials' readouts: at most _BATCH_BYTES, so two trials of the 5x5 density
+# recipe (1.3 MB each) or of the 3x3 agents recipe (1.3 MB; 1.6 MB at the
+# default span) share a union, and longer runs share less. A union also
+# holds at most _UNION_LINKS links: it saves the per-step call overhead, which
+# is most of a small lattice's step (n=5: 12.3 -> 7.8 us per trial-step from
+# K=1 to 2), so a 10x10 lattice (360 links) runs one trial at a time.
+_BATCH_BYTES = 3_500_000
+_UNION_LINKS = 160
 
 
-def _batches(cfg):
-    """Trials in order, cut into the batches that _simulate runs together.
+def _trial_bytes(cfg, steps, links):
+    """Bytes a trial's run of `steps` steps stores: u, one column per
+    junction, and k, one per stored link (links None: every link)."""
+    return 8 * steps * (cfg.n * cfg.n + (cfg.n_links if links is None else len(links)))
 
-    A batch holds min(trials, ceil(_BATCH_LINKS / n_links)) trials, so small
-    lattices share one union and n >= 4 runs one trial at a time.
-    """
-    size = min(cfg.trials, -(-_BATCH_LINKS // cfg.n_links))
-    return [range(b, min(b + size, cfg.trials))
-            for b in range(0, cfg.trials, size)]
+
+def _batches(cfg, steps, links):
+    """Trials in order, cut into the batches that _simulate runs together,
+    yielded one at a time; runs are `steps` long and store `links`."""
+    size = max(1, min(cfg.trials, _BATCH_BYTES // _trial_bytes(cfg, steps, links),
+                      _UNION_LINKS // max(cfg.n_links, 1)))
+    for b in range(0, cfg.trials, size):
+        yield range(b, min(b + size, cfg.trials))
 
 
 def _simulate(cfg, net, trials, steps, inputs=None, links=None):
@@ -214,7 +223,7 @@ def _read(cfg, trial, net, obs, teacher, u=None, k=None, exclude=()):
         cfg.p, net.n_junctions, stream_rng(cfg.seed, trial, STREAM_MASK),
         exclude=exclude)
     rows = slice(first, steps)
-    x = assemble_matrix(obs[0][rows, mask], obs[1][rows, mask], u=u, k=k)
+    x = assemble_matrix(obs[0][rows], obs[1][rows], u=u, k=k, cols=mask)
     tr = cfg.train
     w = ridge_fit(x[:, :tr], teacher[..., :tr], cfg.beta)
     pred = predict(w, x[:, tr:])
@@ -360,9 +369,13 @@ def _run(cfg, net, plans, shared):
     outermost, so one batch is alive at a time. Returns {key: trial list}.
     """
     live = [k for k, plan in plans.items() if plan[3] is not None]
-    groups = ([live] if live else []) if shared else [[k] for k in live]
     by_key = {k: [] for k in plans}
-    for batch in _batches(cfg):
+    if not live:
+        return by_key
+    groups = [live] if shared else [[k] for k in live]
+    # every plan of cfg stores the same links
+    longest = max(_span(plans[k][0])[0] for k in live)
+    for batch in _batches(cfg, longest, plans[live[0]][2]):
         for group in groups:
             cfg_k, inputs, links, _ = plans[group[0]]
             steps = max(_span(plans[k][0])[0] for k in group)

@@ -24,6 +24,15 @@ def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
     assert [r["n"] for r in rows["density"]] == [5]
     for key in ("agents_union", "density_union"):
         assert [r["blocks"] for r in rows[key]] == [1, 2]
+        aa, two = rows[key]
+        # K=1 runs twice per round: its row is the A/A control of the ratios
+        assert aa["control"] == "A/A" and "control" not in two
+        assert all(r["vs_k1"]["q1"] <= r["vs_k1"]["median"] <= r["vs_k1"]["q3"]
+                   for r in rows[key])
+        assert aa["stored_bytes_per_trial"] == two["stored_bytes_per_trial"] > 0
+        assert two["stored_bytes"] == 2 * two["stored_bytes_per_trial"]
+    # the density recipe's trial stores 6105 steps of 25 junctions and 1 link
+    assert rows["density_union"][0]["stored_bytes_per_trial"] == 8 * 6105 * 26
     assert rows["density"][0]["ms_per_step"]["median"] > 0
     startup, = rows["startup"]
     assert startup["runs"] == 2

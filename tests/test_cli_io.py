@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import trafficrc
 from trafficrc import tasks
 from trafficrc.cli import main
-from trafficrc.io import (ConfigError, ExperimentConfig, _trial_series_csv,
-                          config_from_dict, config_to_dict, load_config,
-                          read_series_csv, synth_series, write_series_csv)
+from trafficrc.io import (ConfigError, ExperimentConfig, _series_heads,
+                          _trial_series_csv, config_from_dict, config_to_dict,
+                          load_config, read_series_csv, synth_series,
+                          write_series_csv)
 from trafficrc.tasks import TrialResult
 
 
@@ -68,6 +69,13 @@ def test_unknown_keys_are_named():
     ({"n": 1001}, "n"),
     ({"n": 10 ** 200}, "n"),  # 4n(n-1) overflows a float
     ({"n": 10 ** 200, "total_vehicles": 5.0}, "n"),
+    # unbounded, each failed deep in numpy or in memory
+    ({"trials": 10 ** 20}, "trials"),
+    ({"washout": 10 ** 20}, "washout"),
+    ({"train": 10 ** 20}, "train"),
+    ({"test": 10 ** 20}, "test"),
+    ({"T": 10 ** 20}, "T"),
+    ({"steps": 10 ** 20}, "steps"),
 ])
 def test_validation_names_the_key(patch, key):
     data = {"n": 2}
@@ -364,6 +372,11 @@ def test_series_writers_match_the_per_row_writers(tmp_path, data, m, steps, t0):
     path = tmp_path / "trial.csv"
     _trial_series_csv(path, result)
     assert path.read_bytes() == trial_series_oracle(result).encode()
+    # the t,teacher text of a result with the same t0 and teacher, reused
+    moved = both[1, :, ::-1].copy()
+    other = TrialResult(1, 1, 0.0, None, teacher, moved[0] if m == 1 else moved, t0)
+    _trial_series_csv(path, other, _series_heads(result))
+    assert path.read_bytes() == trial_series_oracle(other).encode()
     write_series_csv(path, both[0, 0])
     assert path.read_bytes() == series_csv_oracle(both[0, 0]).encode()
 
@@ -571,6 +584,29 @@ def test_cli_simulate_refuses_a_huge_n(tmp_path, capsys, extra):
     cfg = _write_cfg(tmp_path, n=10 ** 200, **extra)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith("config key 'n'")
+
+
+_CAPPED_RUN = """
+import resource, sys
+from trafficrc.cli import main
+# a run that lists its trials' batches fails here, not on the host's memory
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_refuses_a_huge_trial_count(tmp_path):
+    cfg = _write_cfg(tmp_path, trials=10 ** 20)
+    src = pathlib.Path(trafficrc.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, "task1-density", "--config", cfg,
+         "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    err, = proc.stderr.splitlines()
+    assert json.loads(err)["error"].startswith("config key 'trials'")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("extra,args", [

@@ -469,6 +469,41 @@ def test_run_records_as_the_per_step_loop(seed, model, k, n, rows, steps, lean):
         assert sim.q.tobytes() == ref.q.tobytes()
 
 
+@pytest.mark.parametrize("model", ["density", "agents"])
+@pytest.mark.parametrize("with_input", [False, True])
+def test_derived_phases_are_each_blocks_schedule(model, with_input):
+    # a trajectory stores no phases: theta and the observables are derived
+    # from its block's bank at t0 and equal one schedule of that block's own
+    # bank, though the run scheduled record blocks of 7 rows, so the input
+    # cumsum is cut at every block boundary
+    rng = np.random.default_rng(23)
+    k, n = 3, 3
+    sim, _ = recorded_sims(model, rng, n, k)
+    nj = n * n
+    blocks = [slice(b * nj, (b + 1) * nj) for b in range(k)]
+    win = rng.uniform(-0.5, 0.5, k * nj) if with_input else None
+    sim.bank.win = win
+    refs = [PhaseBank(sim.bank.tau[js], sim.bank.xi[js],
+                      win=None if win is None else win[js]) for js in blocks]
+    inputs = rng.normal(size=70) if with_input else None
+    runs = []
+    for steps in (31, 39):     # the second run resumes the first
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_RECORD_BYTES", 8 * 7 * sim.net.n_links)
+            trajs = sim.split(sim.run(steps, inputs))
+        runs.append([(traj, ref.schedule(traj.t0, steps, inputs))
+                     for ref, traj in zip(refs, trajs)])
+    # read after both runs: a trajectory keeps its own copy of the phases
+    for run in runs:
+        for traj, want in run:
+            assert traj.theta.tobytes() == want.tobytes()
+            c, s = np.cos(want), np.sin(want)
+            x1, x2 = traj.observables()
+            assert x1.tobytes() == (traj.u * c * c).tobytes()
+            assert x2.tobytes() == (traj.u * s * s).tobytes()
+    assert [traj.t0 for traj, _ in runs[1]] == [31] * k
+
+
 def test_doubling_the_vehicles_doubles_the_record():
     # the p-sweep recipe: 80 links, so 3000 steps cross several record blocks
     cfg = config_from_dict({"n": 5, "T": 5, "tau": 100.0, "seed": 12345})
@@ -552,10 +587,10 @@ def test_a_failing_half_fails_the_write(tmp_path, cpus, monkeypatch, where):
     write_rows = Trajectory._write_rows
     parent = os.getpid()
 
-    def failing(self, fh, start, stop):
+    def failing(self, fh, *rows):
         if (os.getpid() == parent) == (where != "child"):
             raise RuntimeError("formatter failed")
-        write_rows(self, fh, start, stop)
+        write_rows(self, fh, *rows)
 
     monkeypatch.setattr(Trajectory, "_write_rows", failing)
     raises = OSError if where == "child" else RuntimeError

@@ -1,6 +1,7 @@
 """Lattice construction, turn tables, and network serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,8 @@ def test_build_errors():
         build_lattice(2, np.ones(5))
     with pytest.raises(ValueError):
         build_lattice(2, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        build_lattice(2, math.inf)
 
 
 # --- turn tables -------------------------------------------------------------
@@ -280,3 +283,23 @@ def test_network_round_trip_without_table(tmp_path):
         data = json.load(fh)
     assert set(data) == {"n", "links"}
     assert [e["to"] for e in data["links"]] == net.link_to.tolist()
+
+
+@pytest.mark.parametrize("n,lengths", [
+    (1, 1.0),
+    (2, 1.0),
+    (5, 20.0),
+    (3, [0.1, 1e-300, 1e300, 5e-324, 2.0 / 3.0, 1e16, 123456789.125, 3.0] * 3),
+])
+def test_network_json_is_the_json_dump_text(tmp_path, n, lengths):
+    net = build_lattice(n, lengths)
+    path = tmp_path / "net.json"
+    save_network(path, net)
+    data = {"n": n, "links": [
+        {"from": int(net.link_from[l]), "to": int(net.link_to[l]),
+         "length": float(net.length[l])} for l in range(net.n_links)]}
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()

@@ -1,6 +1,7 @@
 """Experiment drivers: unit selection, lag diagnostic, trials, sweeps."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from trafficrc import tasks
 from trafficrc.agents import AgentSim
 from trafficrc.density import DensitySim
-from trafficrc.io import ConfigError, config_from_dict
+from trafficrc.io import ConfigError, config_from_dict, load_config
 from trafficrc.lattice import build_lattice
 from trafficrc.readout import assemble_matrix, log_nrmse
 from trafficrc.signals import reservoir_observables
@@ -109,9 +110,9 @@ _SMALL_AGENTS = dict(model="agents", task="density_link", n=2, T=2, M=3,
 _SMALL_SERIES = dict(model="density", task="external_series", n=3, T=2,
                      washout=20, train=150, test=60, trials=3, seed=9)
 _SMALL = {"density": _SMALL_DENSITY, "agents": _SMALL_AGENTS, "series": _SMALL_SERIES}
-# simulations per trial loop: both agents trials (8 links) share one union;
-# the three n=3 density trials (24 links each) run as a pair and a single
-_RUNS = {"density": 2, "agents": 1, "series": 2}
+# simulations per trial loop: the trials of each small config share one union
+# (at most 72 links, and a few KB of stored u and k per trial)
+_RUNS = {"density": 1, "agents": 1, "series": 1}
 
 
 def test_density_task_shapes_and_determinism():
@@ -371,13 +372,14 @@ def test_task2_horizon_sweep_simulates_each_value(sim_runs):
 
 def test_agents_batches_match_solo_trials_with_a_partial_last_batch(
         sim_runs, monkeypatch):
-    # n=2 has 8 links, so a batch holds 6 trials: batches of 6 and 1
+    # n=2 has 8 links, so a 48-link union holds 6 trials: batches of 6 and 1
+    monkeypatch.setattr(tasks, "_UNION_LINKS", 48)
     cfg = config_from_dict(dict(_SMALL_AGENTS, trials=7))
     span = cfg.washout + cfg.T + cfg.train + cfg.test
     batched = run_experiment(cfg)
     swept = sweep(cfg, "M", [3, 5])
     assert sim_runs == [span] * 4
-    monkeypatch.setattr(tasks, "_BATCH_LINKS", 1)   # every trial on its own
+    monkeypatch.setattr(tasks, "_BATCH_BYTES", 1)   # every trial on its own
     del sim_runs[:]
     solo = run_experiment(cfg)
     assert sim_runs == [span] * 7
@@ -386,6 +388,26 @@ def test_agents_batches_match_solo_trials_with_a_partial_last_batch(
     _assert_same_trials(swept.by_value[3], solo)
     _assert_same_trials(swept.by_value[5], run_experiment(
         dataclasses.replace(cfg, M=5)))
+
+
+_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def _batch_sizes(cfg):
+    net = build_lattice(cfg.n, cfg.link_length)
+    _, links, _ = tasks._plan(cfg, net)
+    return [len(b) for b in tasks._batches(cfg, tasks._span(cfg)[0], links)]
+
+
+def test_batches_keep_the_recipes_unions_within_the_byte_budget():
+    c3 = load_config(_CONFIGS / "density_link_p_sweep.json")
+    assert _batch_sizes(c3) == [2] * 10
+    c5 = load_config(_CONFIGS / "agents_road_subset.json")
+    assert _batch_sizes(c5) == [2] * 5
+    assert _batch_sizes(dataclasses.replace(c3, n=40, trials=3)) == [1] * 3
+    # a batch is made only when it is due: no list of every batch
+    batches = tasks._batches(dataclasses.replace(c3, trials=10 ** 20), 6105, [0])
+    assert next(batches) == range(2)
 
 
 @pytest.mark.parametrize("kind,param,values,key", [
@@ -452,9 +474,9 @@ def _spy_readout(monkeypatch):
         masks.append(select_reservoir_fraction(*args, **kwargs))
         return masks[-1]
 
-    def assemble(x1, x2, **kwargs):
-        seen.append((masks[-1], x1, x2))
-        return assemble_matrix(x1, x2, **kwargs)
+    def assemble(x1, x2, cols=None, **kwargs):
+        seen.append((masks[-1], x1[:, cols], x2[:, cols]))
+        return assemble_matrix(x1, x2, cols=cols, **kwargs)
 
     monkeypatch.setattr(tasks, "select_reservoir_fraction", pick)
     monkeypatch.setattr(tasks, "assemble_matrix", assemble)
