@@ -1,9 +1,9 @@
 """Time the model step of both traffic models over lattice size n.
 
 Everything runs in-process on the numpy kernels. For each n the model is
-built from the default config of its model (seed 7, so agents use 20-long
-links with 10 agents each) and runs --warmup steps so the agents leave their
-standing start. The timed steps then run as 20 rounds of run(steps / 20),
+trial 0 of the default config of its model at seed 7 (so agents use 20-long
+links with 10 agents each), built by tasks._union as the tasks build it, and
+runs --warmup steps so the agents leave their standing start. The timed steps then run as 20 rounds of run(steps / 20),
 and a round's time per step is run(s) / s: it includes what a run pays
 besides the steps, the phase schedule and gates computed before the step
 loop and the trajectory it records. One reservoir step of the agents model
@@ -11,7 +11,7 @@ is round(1/dt) Euler substeps plus the junction transfers. Reports the
 median and quartiles of ms per step over rounds and the median us per link
 per step, which stays flat when a step is linear in the lattice size.
 
-The union rows time one union of K blocks (block b seeded 7 + b) of the
+The union rows time one union of K blocks (block b is trial b) of the
 n = 3 agents model and of the n = 5 density model, the lattices of the
 agents and density recipes, as the tasks batch trials: ms per step per
 trial and us per link show how far K blocks in one set of arrays amortise
@@ -59,24 +59,15 @@ import numpy as np
 
 import trafficrc
 from trafficrc import tasks
-from trafficrc.agents import AgentSim, init_agents
-from trafficrc.density import DensitySim, init_density
 from trafficrc.io import config_from_dict, load_config
-from trafficrc.lattice import assign_turn_table, build_lattice
+from trafficrc.lattice import build_lattice
 
 
-def build_sim(model, n, seed=7):
-    cfg = config_from_dict({"model": model, "n": n, "seed": seed})
-    rng = np.random.default_rng(cfg.seed)
-    net = build_lattice(cfg.n, cfg.link_length)
-    table = assign_turn_table(net, cfg.turn_weights, rng)
-    bank = tasks._phase_bank(cfg, rng)
-    if model == "agents":
-        state = init_agents(net, table, rng, per_link=cfg.agents_per_link,
-                            params=cfg.ov)
-        return AgentSim(net, table, bank, state, cfg.ov, rng)
-    q0 = init_density(net, cfg.total_vehicles, rng)
-    return DensitySim(net, table, bank, q0)
+def trial_union(model, n, k=1):
+    """Trials 0 .. k-1 of the model's default config at seed 7 on an n x n
+    lattice, as one union sim."""
+    cfg = config_from_dict({"model": model, "n": n, "seed": 7})
+    return tasks._union(cfg, build_lattice(cfg.n, cfg.link_length), range(k))
 
 
 UNION_RECIPES = {"agents": "agents_road_subset.json",
@@ -118,10 +109,7 @@ def time_unions(model, ks, steps, warmup):
     """One row per K of ks (K = 1 first, the A/A control), timed round-robin
     with a reference K = 1 union."""
     n, trial_bytes = recipe_trial_bytes(model)
-    unions = []
-    for k in [1, *ks]:
-        sims = [build_sim(model, n, seed=7 + b) for b in range(k)]
-        unions.append(type(sims[0]).union(sims))
+    unions = [trial_union(model, n, k) for k in [1, *ks]]
     per_trial = time_round_robin(unions, steps, warmup) / np.array([1, *ks])[:, None]
     rows = []
     for k, sim, ms in zip(ks, unions[1:], per_trial[1:]):
@@ -146,7 +134,7 @@ def time_writer(steps):
     trajectory: pinned to one CPU, then on every CPU this process may use.
     Returns {"cpus": k, "pinned": {...}, "unpinned": {...}}, each the median
     and quartiles over rounds."""
-    sim = build_sim("density", WRITE_N)
+    sim = trial_union("density", WRITE_N)
     traj = sim.run(steps)
     allowed = os.sched_getaffinity(0)
     ms = {"pinned": [], "unpinned": []}
@@ -236,7 +224,7 @@ def main(argv=None):
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
                                 ("density", args.density_n, args.density_steps)):
         for n in sizes:
-            sim = build_sim(model, n)
+            sim = trial_union(model, n)
             t = summary(time_round_robin([sim], steps, args.warmup)[0])
             r = {"n": n, "links": sim.net.n_links, "steps": steps,
                  "ms_per_step": t,

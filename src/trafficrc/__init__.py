@@ -1,11 +1,12 @@
 """Road traffic simulation with signal phases as a computing reservoir."""
 
 from .io import VERSION as __version__
-from .io import ExperimentConfig, load_config, read_series_csv, synth_series
+from .io import (ExperimentConfig, OVParams, load_config, read_series_csv,
+                 synth_series)
 from .lattice import Network, TurnTable, assign_turn_table, build_lattice
 from .signals import PhaseBank, reservoir_observables
 from .density import DensitySim, Trajectory, init_density
-from .agents import AgentSim, AgentState, OVParams, init_agents
+from .agents import AgentSim, AgentState, init_agents
 from .readout import assemble_matrix, log_nrmse, predict, ridge_fit
 from .tasks import (TrialResult, average_prediction, lag_diagnostic,
                     run_experiment, select_reservoir_fraction, sweep)

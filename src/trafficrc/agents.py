@@ -4,61 +4,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .density import _Reservoir
+from .io import OVParams
 # link_go and reservoir_observables stay importable here: perfbench/tracer.py
 # wraps them
 from .signals import link_go, reservoir_observables  # noqa: F401
 
-__all__ = [
-    "OVParams", "AgentState", "init_agents", "agent_link_densities",
-    "AgentSim",
-]
-
-
-@dataclass(frozen=True)
-class OVParams:
-    """Optimal-velocity dynamics parameters.
-
-    dt is the Euler substep; one reservoir step spans one time unit, so
-    round(1/dt) substeps run per sampled step. d_min is the hard minimum
-    spacing, horizon the headway cap used when nothing is ahead.
-    """
-    a: float = 1.0
-    v_scale: float = 2.0
-    c: float = 2.0
-    w: float = 1.0
-    dt: float = 0.1
-    d_min: float = 0.1
-    horizon: float = 1e3
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not math.isfinite(1.0 / self.dt) or abs(self.substeps * self.dt - 1.0) > 1e-9:
-            raise ValueError("dt must be 1/k for a whole number k, so that k "
-                             "substeps span one time unit")
-        if self.d_min < 0:
-            raise ValueError("d_min must be nonnegative")
-        if self.v_scale < 0:
-            raise ValueError("v_scale must be nonnegative")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-
-    @property
-    def substeps(self):
-        """Euler substeps per reservoir step (one time unit)."""
-        return max(1, int(round(1.0 / self.dt)))
+__all__ = ["AgentState", "init_agents", "agent_link_densities", "AgentSim"]
 
 
 class AgentState:

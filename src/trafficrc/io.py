@@ -12,11 +12,9 @@ from datetime import datetime
 
 import numpy as np
 
-from .agents import OVParams
-
 __all__ = [
     "VERSION", "OUT_ENV", "ConfigError", "ExperimentConfig", "load_config",
-    "config_to_dict", "read_series_csv", "synth_series", "SynthSpec",
+    "config_to_dict", "read_series_csv", "synth_series", "SynthSpec", "OVParams",
     "emit_run_results", "emit_sweep_results", "line_plot_svg",
 ]
 
@@ -66,6 +64,17 @@ _SPAN_MAX = 10**6
 # written, one series file per trial and value: 10^4 trials of the recipes
 # hold about 0.3 GB
 _TRIALS_MAX = 10**4
+# init_agents draws each agent's first turn in a Python loop, and a step moves
+# every agent round(1/ov.dt) times: 10^4 agents on each of the 3x3 recipe's
+# 24 links take about 0.9 s to place and 80 ms a step (numpy, one core), so
+# 8 minutes a trial of the recipe's span
+_AGENTS_MAX = 10**4
+# each step turns a phase by up to sigma_in times the standardized series,
+# and a phase is read mod 2 pi: at 2 pi one standard deviation of input is a
+# whole cycle already. Far above that a float phase keeps little of its
+# fraction of a cycle (at 1e15 rad its spacing is 0.125 rad), and past about
+# 9e307 the draw of the input weights overflows
+_SIGMA_IN_MAX = 1e6
 
 
 def _choice(*values):
@@ -99,16 +108,11 @@ def _check(obj, block=None):
             raise ConfigError(f"config key {block or f.name!r}: {name}must be {must}")
 
 
-def _require_finite(key, values):
-    bad = sorted(k for k, v in values.items() if not _is_finite(v))
-    _require(not bad, key, f"{', '.join(bad)} must be finite")
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Synthetic external-series recipe (daily sinusoid, optional AR(1))."""
     kind: str = _key("sinusoid+ar1", _choice(*_SYNTH_KINDS))
-    length: int | None = _key(None, int, ge=2)   # None: the experiment's span
+    length: int | None = _key(None, int, ge=2, le=_SPAN_MAX)  # None: the span
     amplitude: float = _key(10.0, float)
     offset: float = _key(20.0, float)
     period: float = _key(96.0, float, gt=0)
@@ -117,6 +121,39 @@ class SynthSpec:
     # an aperiodic component whose predictability actually decays with T
     rho: float = _key(0.95, float, gt=-1, lt=1)
     sigma: float = _key(0.8, float, ge=0)
+
+    def __post_init__(self):
+        _check(self, "series_synth")
+
+
+@dataclass(frozen=True)
+class OVParams:
+    """Optimal-velocity car following (Bando et al., Phys. Rev. E 51, 1035,
+    1995), the agents model's `ov` block.
+
+    dt is the Euler substep; one reservoir step spans one time unit, so
+    round(1/dt) substeps run per sampled step. d_min is the hard minimum
+    spacing, horizon the headway cap used when nothing is ahead.
+    """
+    a: float = _key(1.0, float, gt=0)
+    v_scale: float = _key(2.0, float, ge=0)
+    c: float = _key(2.0, float, ge=0)
+    w: float = _key(1.0, float, gt=0)
+    dt: float = _key(0.1, float, gt=0)
+    d_min: float = _key(0.1, float, ge=0)
+    horizon: float = _key(1e3, float, gt=0)
+
+    def __post_init__(self):
+        _check(self, "ov")
+        _require(math.isfinite(1.0 / self.dt)
+                 and abs(self.substeps * self.dt - 1.0) <= 1e-9, "ov",
+                 "dt must be 1/k for a whole number k, so that k substeps "
+                 "span one time unit")
+
+    @property
+    def substeps(self):
+        """Euler substeps per reservoir step (one time unit)."""
+        return max(1, int(round(1.0 / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +165,7 @@ class ExperimentConfig:
     n: int = _key(5, int, ge=1, le=_N_MAX)
     link_length: float = _key(1.0, float, gt=0)
     total_vehicles: float = _key(80.0, float, gt=0)
-    agents_per_link: int = _key(10, int, ge=0)
+    agents_per_link: int = _key(10, int, ge=0, le=_AGENTS_MAX)
     turn_weights: tuple = _key((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), _WEIGHTS)
     tau: float = _key(100.0, float, "run", gt=0)
     T: int = _key(5, int, "span", ge=0, le=_SPAN_MAX)
@@ -143,7 +180,7 @@ class ExperimentConfig:
     target_link: tuple | None = _key(None, _PAIR)
     series_csv: str | None = _key(None, str)
     series_synth: SynthSpec = _key(SynthSpec(), SynthSpec)
-    sigma_in: float = _key(1.0, float, gt=0)
+    sigma_in: float = _key(1.0, float, gt=0, le=_SIGMA_IN_MAX)
     trial_average: int = _key(5, int, ge=1)
     steps: int | None = _key(None, int, ge=1, le=_SPAN_MAX)
     ov: OVParams = _key(OVParams(), OVParams)
@@ -159,14 +196,7 @@ def _block(key, cls, raw):
     _require(isinstance(raw, dict), key, "must be an object")
     bad = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     _require(not bad, key, f"unknown keys: {', '.join(bad)}")
-    if cls is OVParams:
-        # OVParams checks its bounds as it is built: numbers first
-        _require_finite(key, raw)
-        raw = {k: float(v) for k, v in raw.items()}
-    try:
-        return cls(**raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
+    return cls(**raw)   # a block checks itself as it is built
 
 
 def config_from_dict(data):
@@ -201,8 +231,6 @@ def validate_config(cfg):
     """Check every key of cfg against its row, then the keys that bound each
     other; a ConfigError names the first bad key."""
     _check(cfg)
-    _check(cfg.series_synth, "series_synth")
-    _require_finite("ov", dataclasses.asdict(cfg.ov))
     if cfg.model == "agents":
         # init_agents spaces each link's agents length / (count + 1) apart
         _require(cfg.link_length / (cfg.agents_per_link + 1) >= cfg.ov.d_min,
@@ -210,6 +238,13 @@ def validate_config(cfg):
                  f"{cfg.agents_per_link} agents on a {cfg.link_length}-long "
                  f"link cannot keep ov.d_min={cfg.ov.d_min} apart "
                  "(needs link_length / (agents_per_link + 1) >= ov.d_min)")
+        # under the Euler relaxation a speed stays below max(1, a dt) v_scale,
+        # so an agent that crosses a stop line cannot reach past its next link
+        ov = cfg.ov
+        reach = max(1.0, ov.a * ov.dt) * ov.v_scale * ov.dt
+        _require(reach <= cfg.link_length, "ov",
+                 f"an agent can move max(1, a*dt)*v_scale*dt={reach} per "
+                 f"substep, more than one {cfg.link_length}-long link")
     return cfg
 
 

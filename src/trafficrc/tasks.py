@@ -178,21 +178,16 @@ def _batches(cfg, steps, links):
         yield range(b, min(b + size, cfg.trials))
 
 
-def _simulate(cfg, net, trials, steps, inputs=None, links=None):
-    """Build the trials' reservoirs on the lattice net from their rng
-    streams and run them `steps` steps.
-
-    The readout fields (p, M, beta) play no part. inputs[t], if given, is
-    injected at step t through each trial's input weights. A run stores the
-    densities of `links` only (None: every link). The trials run as the
-    blocks of one union sim. Returns one trajectory per trial, in order.
-    """
+def _union(cfg, net, trials, driven=False):
+    """The trials' reservoirs on the lattice net, each built from its rng
+    streams (turn table, phase bank, initial state), as the blocks of one
+    union sim. A driven bank draws input weights from its input stream. The
+    readout fields (p, M, beta) play no part."""
     sims = []
     for trial in trials:
         table = assign_turn_table(net, cfg.turn_weights,
                                   stream_rng(cfg.seed, trial, STREAM_TURNS))
-        rng_input = None if inputs is None \
-            else stream_rng(cfg.seed, trial, STREAM_INPUT)
+        rng_input = stream_rng(cfg.seed, trial, STREAM_INPUT) if driven else None
         bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE),
                            rng_input)
         if cfg.model == "agents":
@@ -204,7 +199,17 @@ def _simulate(cfg, net, trials, steps, inputs=None, links=None):
             q0 = init_density(net, cfg.total_vehicles,
                               stream_rng(cfg.seed, trial, STREAM_INIT))
             sims.append(DensitySim(net, table, bank, q0))
-    sim = type(sims[0]).union(sims)
+    return type(sims[0]).union(sims)
+
+
+def _simulate(cfg, net, trials, steps, inputs=None, links=None):
+    """Run the trials' union (see _union) `steps` steps and return one
+    trajectory per trial, in order.
+
+    inputs[t], if given, is injected at step t through each trial's input
+    weights. A run stores the densities of `links` only (None: every link).
+    """
+    sim = _union(cfg, net, trials, driven=inputs is not None)
     return sim.split(sim.run(steps, inputs=inputs, links=links))
 
 
@@ -231,20 +236,13 @@ def _read(cfg, trial, net, obs, teacher, u=None, k=None, exclude=()):
     score = log_nrmse(test, pred)
     t0 = first + tr
     max_lag = max(2 * cfg.T, 10)
-    if test.ndim == 1:
-        lag = lag_diagnostic(test, pred[0], max_lag)
-        return TrialResult(trial, cfg.seed, score, lag, test.copy(),
-                           pred[0].copy(), t0)
     lag = None
-    for i in range(test.shape[0]):
-        try:
-            log_nrmse(test[i:i + 1], pred[i:i + 1])
-        except ValueError:
-            continue  # a constant teacher has no lag
-        lag = lag_diagnostic(test[i], pred[i], max_lag)
+    for y, y_hat in zip(np.atleast_2d(test), pred):
+        lag = lag_diagnostic(y, y_hat, max_lag)
         if lag is not None:
             break
-    return TrialResult(trial, cfg.seed, score, lag, test.copy(), pred.copy(), t0)
+    return TrialResult(trial, cfg.seed, score, lag, test.copy(),
+                       pred.reshape(test.shape), t0)
 
 
 def _read_density(cfg, target, trial, net, traj, obs):

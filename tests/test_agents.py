@@ -681,6 +681,21 @@ def test_busy_network_conserves_agents_and_spacing():
     assert traj.k[0] == pytest.approx(np.full(net.n_links, 0.5))
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_speed_stays_below_the_one_link_bound(a):
+    # the config's one-link rule rests on this bound: the Euler relaxation
+    # keeps every speed below max(1, a dt) v_scale, also where a dt > 1
+    # overshoots the optimal velocity; dt = 1, so each step is one substep
+    p = OVParams(a=a, dt=1.0, v_scale=3.0)
+    net, table, bank, state = random_block(np.random.default_rng(17), 3, p)
+    sim = AgentSim(net, table, bank, state, p, np.random.default_rng(17))
+    top = 0.0
+    for _ in range(150):
+        sim.run(1)
+        top = max(top, float(sim.state.v.max()))
+    assert 0.0 < top <= max(1.0, a * p.dt) * p.v_scale
+
+
 def test_same_seed_reproduces_the_trajectory():
     def run():
         rng = np.random.default_rng(10)

@@ -1,6 +1,6 @@
-"""benchmarks/bench_kernels.py imports program internals (tasks._phase_bank,
-the sims' constructors and union); a short run here keeps it from rotting
-against them."""
+"""benchmarks/bench_kernels.py imports program internals (tasks._union,
+tasks._plan, tasks._span and tasks._trial_bytes); a short run here keeps it
+from rotting against them."""
 
 import importlib.util
 import json

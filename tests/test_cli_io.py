@@ -76,6 +76,13 @@ def test_unknown_keys_are_named():
     ({"test": 10 ** 20}, "test"),
     ({"T": 10 ** 20}, "T"),
     ({"steps": 10 ** 20}, "steps"),
+    # with d_min 0 no spacing rule bounds the count: np.full overflowed
+    ({"model": "agents", "agents_per_link": 10 ** 20, "ov": {"d_min": 0.0}},
+     "agents_per_link"),
+    # synth ended in numpy's "Maximum allowed size exceeded"
+    ({"series_synth": {"length": 10 ** 20}}, "series_synth"),
+    # the input weight draw overflowed in rng.uniform
+    ({"sigma_in": 1e308}, "sigma_in"),
 ])
 def test_validation_names_the_key(patch, key):
     data = {"n": 2}
@@ -152,6 +159,40 @@ def test_every_key_refuses_a_wrongly_typed_value(field):
             config_from_dict({field.name: value})
 
 
+# (block key, its class) of every nested block, and each field of each block
+_BLOCKS = {f.name: type(f.default) for f in _FIELDS
+           if dataclasses.is_dataclass(f.default)}
+_BLOCK_FIELDS = [(block, f) for block, cls in _BLOCKS.items()
+                 for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("block,field", _BLOCK_FIELDS,
+                         ids=[f"{b}.{f.name}" for b, f in _BLOCK_FIELDS])
+def test_every_block_key_refuses_a_wrong_value(block, field):
+    # a block checks each of its keys against its row as it is built, from
+    # a config or directly, so a block key added without a row fails here
+    bad = ["x", True, [1.0], math.inf, -math.inf, math.nan]
+    bad += [1.5] if field.metadata["kind"] is int else []
+    for value in bad:
+        for build in (lambda: config_from_dict({block: {field.name: value}}),
+                      lambda: _BLOCKS[block](**{field.name: value})):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            # the block names its key once, then the field
+            assert str(exc.value).startswith(
+                f"config key '{block}': {field.name} must be "), value
+            assert str(exc.value).count("config key") == 1
+
+
+def test_an_int_block_value_stays_an_int():
+    # as for the top-level keys, a block echoes the number it was given
+    cfg = config_from_dict({"ov": {"a": 1}, "series_synth": {"period": 96}})
+    data = config_to_dict(cfg)
+    assert (data["ov"]["a"], data["series_synth"]["period"]) == (1, 96)
+    assert type(data["ov"]["a"]) is int
+    assert config_from_dict(data) == cfg
+
+
 @pytest.mark.parametrize("key", [f.name for f in _FIELDS if f.default is not None])
 def test_null_is_refused_where_the_default_is_not_null(key):
     # null once dropped the key, so {"tau": null} ran the default silently
@@ -193,6 +234,26 @@ def test_agent_spacing_bound_is_inclusive_and_agents_only():
     assert cfg.agents_per_link == 199
     # the density model places no agents
     assert config_from_dict({"n": 2, "agents_per_link": 250}).model == "density"
+
+
+@pytest.mark.parametrize("ov,refused", [
+    ({"dt": 1.0, "v_scale": 1.0}, False),           # one link exactly
+    ({"dt": 1.0, "v_scale": 1.5}, True),
+    ({"dt": 0.5, "v_scale": 2.0}, False),
+    ({"dt": 1.0, "a": 2.0, "v_scale": 0.6}, True),  # a dt > 1 overshoots
+    ({"v_scale": 1e20}, True),
+])
+def test_an_agent_may_not_pass_a_whole_link_in_one_substep(ov, refused):
+    # under the Euler relaxation a speed stays below max(1, a dt) v_scale
+    data = {"model": "agents", "n": 2, "link_length": 1.0,
+            "agents_per_link": 1, "ov": ov}
+    if refused:
+        with pytest.raises(ConfigError, match="^config key 'ov': .*one 1.0-long link"):
+            config_from_dict(data)
+    else:
+        assert config_from_dict(data).ov.v_scale == ov["v_scale"]
+    # the density model reads no ov
+    assert config_from_dict(dict(data, model="density")).model == "density"
 
 
 def test_list_fields_become_tuples():
@@ -606,6 +667,40 @@ def test_cli_refuses_a_huge_trial_count(tmp_path):
     assert proc.returncode == 2, proc.stderr
     err, = proc.stderr.splitlines()
     assert json.loads(err)["error"].startswith("config key 'trials'")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,data,key", [
+    ("task1-agents", {"model": "agents", "n": 2, "M": 3,
+                      "agents_per_link": 10 ** 20, "ov": {"d_min": 0.0}},
+     "agents_per_link"),
+    ("simulate", {"model": "agents", "n": 2, "M": 3,
+                  "agents_per_link": 10 ** 20, "ov": {"d_min": 0.0}},
+     "agents_per_link"),
+    ("simulate", {"model": "agents", "n": 2, "agents_per_link": 10 ** 8,
+                  "ov": {"d_min": 0.0}}, "agents_per_link"),
+    ("synth", {"task": "external_series", "series_synth": {"length": 10 ** 20}},
+     "series_synth"),
+    ("task2", {"task": "external_series", "n": 3, "sigma_in": 1e308, "trials": 1,
+               "train": 50, "test": 20, "washout": 5}, "sigma_in"),
+    # an agent could pass many links a substep: 1e7 took 20 s, 1e20 never ended
+    ("task1-agents", {"model": "agents", "n": 2, "M": 3, "ov": {"v_scale": 1e20},
+                      "trials": 1, "train": 50, "test": 20, "washout": 5}, "ov"),
+])
+def test_cli_refuses_an_extreme_config_naming_its_key(tmp_path, command, data, key):
+    # each once ended in a traceback, an error naming no key, or no end at
+    # all; under the memory cap a refusal that comes too late fails here too
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    src = pathlib.Path(trafficrc.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, command, "--config", str(path),
+         "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    err, = proc.stderr.splitlines()
+    assert json.loads(err)["error"].startswith(f"config key '{key}': ")
     assert not (tmp_path / "run").exists()
 
 
