@@ -24,6 +24,19 @@ round, and each row's ratio is the median and quartiles over rounds of its
 ms per trial-step over that of the first K = 1 union in the same round. The
 second K = 1 union's row (A/A) is the noise floor of those ratios.
 
+--against DIR builds every per-n row's sim and every union a second and a
+third time from another trafficrc source tree (DIR is a checkout or its src
+directory; the package is imported as trafficrc_against, which its relative
+imports allow) and times the three side by side in the same rounds: this
+tree (the change) and DIR's twice (the parent, and the parent again as the
+A/A control). Each row then gives the median and quartiles over rounds of
+change/parent and parent/parent, the ratio of ms per step within a round.
+In-process, the ratios see no cross-process noise: no fresh interpreter,
+page cache or CPU placement differs between the sides.
+
+Within a round the sims take turns in an order rotated by one each round,
+so no sim always runs first or right after the same other one.
+
 --write-steps N times Trajectory.write_csv of an N-step trajectory of the
 n = 40 density model (the trajectory.csv of `simulate`), in ms per row: once
 with this process pinned to one CPU, so the writer formats every row
@@ -44,9 +57,11 @@ peak RSS in MB.
     python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k 1,2,4
     python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k '' --write-steps 150
     python3 benchmarks/bench_kernels.py --agents-n '' --density-n '' --union-k '' --startup 20
+    python3 benchmarks/bench_kernels.py --agents-n 3,6,10 --density-n '' --union-k 1,2 --against ../parent
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -63,11 +78,32 @@ from trafficrc.io import config_from_dict, load_config
 from trafficrc.lattice import build_lattice
 
 
-def trial_union(model, n, k=1):
+def trial_union(model, n, k=1, pkg=trafficrc):
     """Trials 0 .. k-1 of the model's default config at seed 7 on an n x n
-    lattice, as one union sim."""
-    cfg = config_from_dict({"model": model, "n": n, "seed": 7})
-    return tasks._union(cfg, build_lattice(cfg.n, cfg.link_length), range(k))
+    lattice, as one union sim of the trafficrc package pkg."""
+    cfg = pkg.io.config_from_dict({"model": model, "n": n, "seed": 7})
+    return pkg.tasks._union(cfg, pkg.lattice.build_lattice(cfg.n, cfg.link_length),
+                            range(k))
+
+
+AGAINST = "trafficrc_against"
+
+
+def load_tree(root):
+    """The trafficrc package of the source tree at root (a checkout or its
+    src directory), imported as AGAINST beside this process's trafficrc."""
+    root = pathlib.Path(root)
+    for pkg in (root / "src" / "trafficrc", root / "trafficrc"):
+        if (pkg / "__init__.py").is_file():
+            break
+    else:
+        raise SystemExit(f"--against: no trafficrc package under {root}")
+    spec = importlib.util.spec_from_file_location(
+        AGAINST, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 UNION_RECIPES = {"agents": "agents_road_subset.json",
@@ -85,17 +121,34 @@ def summary(values):
 
 def time_round_robin(sims, steps, warmup):
     """ms per step of each sim, shape (sims, ROUNDS): ROUNDS rounds of
-    run(steps / ROUNDS), the sims taking turns within each round."""
+    run(steps / ROUNDS), the sims taking turns within each round, starting
+    one sim later each round."""
     for sim in sims:
         sim.run(warmup)
     per = max(1, steps // ROUNDS)
     ms = np.empty((len(sims), ROUNDS))
     for r in range(ROUNDS):
-        for i, sim in enumerate(sims):
+        for i in np.roll(np.arange(len(sims)), -r).tolist():
             start = time.perf_counter()
-            sim.run(per)
+            sims[i].run(per)
             ms[i, r] = (time.perf_counter() - start) * 1e3 / per
     return ms
+
+
+def against(ms):
+    """Per-round ratios of the (change, parent, parent) ms rows: the change
+    and the A/A control over the first parent."""
+    return {"parent_ms_per_step": summary(ms[1]),
+            "change_vs_parent": summary(ms[0] / ms[1]),
+            "parent_vs_parent": summary(ms[2] / ms[1])}
+
+
+def trio(model, n, k, parent):
+    """The change's union and, given a parent package, two of the parent's."""
+    sims = [trial_union(model, n, k)]
+    if parent is not None:
+        sims += [trial_union(model, n, k, parent) for _ in range(2)]
+    return sims
 
 
 def recipe_trial_bytes(model):
@@ -105,22 +158,28 @@ def recipe_trial_bytes(model):
     return cfg.n, tasks._trial_bytes(cfg, tasks._span(cfg)[0], links)
 
 
-def time_unions(model, ks, steps, warmup):
+def time_unions(model, ks, steps, warmup, parent=None):
     """One row per K of ks (K = 1 first, the A/A control), timed round-robin
-    with a reference K = 1 union."""
+    with a reference K = 1 union; with a parent package, each K is also
+    timed from the parent's tree twice (see against)."""
     n, trial_bytes = recipe_trial_bytes(model)
-    unions = [trial_union(model, n, k) for k in [1, *ks]]
-    per_trial = time_round_robin(unions, steps, warmup) / np.array([1, *ks])[:, None]
+    groups = [trio(model, n, k, parent) for k in ks]
+    sims = [trial_union(model, n), *(sim for g in groups for sim in g)]
+    ms = time_round_robin(sims, steps, warmup)
+    ref, ms = ms[0], ms[1:].reshape(len(ks), len(groups[0]), ROUNDS)
     rows = []
-    for k, sim, ms in zip(ks, unions[1:], per_trial[1:]):
-        t = summary(ms * k)
+    for k, group, m in zip(ks, groups, ms):
+        t = summary(m[0])
+        sim = group[0]
         rows.append({"n": n, "blocks": k, "links": sim.net.n_links,
                      "steps": steps, "ms_per_step": t,
                      "ms_per_trial_step": round(t["median"] / k, 4),
                      "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3),
-                     "vs_k1": summary(ms / per_trial[0]),
+                     "vs_k1": summary(m[0] / k / ref),
                      "stored_bytes_per_trial": trial_bytes,
                      "stored_bytes": k * trial_bytes})
+        if parent is not None:
+            rows[-1]["against"] = against(m)
     rows[0]["control"] = "A/A"
     return rows
 
@@ -182,6 +241,15 @@ def time_startup(runs):
             "peak_rss_mb": round(float(np.median(rss)), 2)}
 
 
+def _ratios(row):
+    """The printed change/parent and parent/parent columns of a row."""
+    if "against" not in row:
+        return ""
+    b, a = row["against"]["change_vs_parent"], row["against"]["parent_vs_parent"]
+    return (f" {b['median']:>7.3f} {b['q1']:>6.3f} {b['q3']:>6.3f}"
+            f" {a['median']:>7.3f} {a['q1']:>6.3f} {a['q3']:>6.3f}")
+
+
 def _sizes(text):
     return [int(v) for v in text.replace(",", " ").split()]
 
@@ -206,8 +274,14 @@ def main(argv=None):
     ap.add_argument("--startup", type=int, default=0,
                     help="fresh interpreters timed importing trafficrc.cli "
                          "(0: skip)")
+    ap.add_argument("--against", metavar="DIR",
+                    help="also time the sims of the trafficrc tree in DIR "
+                         "(a checkout or its src), twice, in the same rounds")
     ap.add_argument("--json", help="also write the results to this file")
     args = ap.parse_args(argv)
+    parent = load_tree(args.against) if args.against else None
+    ratio_head = (f" {'vs par':>7} {'q1':>6} {'q3':>6} {'A/A':>7} {'q1':>6} "
+                  f"{'q3':>6}" if parent else "")
 
     rows = {"agents": [], "density": [], "agents_union": [],
             "density_union": [], "writer": [], "startup": []}
@@ -220,27 +294,31 @@ def main(argv=None):
               f"{t['ms']['q1']:>9.1f} {t['ms']['q3']:>9.1f} "
               f"{t['peak_rss_mb']:>7.1f}\n")
     print(f"{'model':<8} {'n':>3} {'links':>6} {'ms/step':>9} "
-          f"{'q1':>9} {'q3':>9} {'us/link':>8}")
+          f"{'q1':>9} {'q3':>9} {'us/link':>8}" + ratio_head)
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
                                 ("density", args.density_n, args.density_steps)):
         for n in sizes:
-            sim = trial_union(model, n)
-            t = summary(time_round_robin([sim], steps, args.warmup)[0])
-            r = {"n": n, "links": sim.net.n_links, "steps": steps,
+            sims = trio(model, n, 1, parent)
+            ms = time_round_robin(sims, steps, args.warmup)
+            t = summary(ms[0])
+            r = {"n": n, "links": sims[0].net.n_links, "steps": steps,
                  "ms_per_step": t,
-                 "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3)}
+                 "us_per_link": round(t["median"] * 1e3 / sims[0].net.n_links, 3)}
+            if parent is not None:
+                r["against"] = against(ms)
             rows[model].append(r)
             print(f"{model:<8} {n:>3} {r['links']:>6} {t['median']:>9.3f} "
-                  f"{t['q1']:>9.3f} {t['q3']:>9.3f} {r['us_per_link']:>8.2f}")
+                  f"{t['q1']:>9.3f} {t['q3']:>9.3f} {r['us_per_link']:>8.2f}"
+                  + _ratios(r))
     if args.union_k:
         print(f"\n{'union':<8} {'n':>3} {'K':>4} {'links':>6} {'ms/step':>9} "
               f"{'ms/trial':>9} {'us/link':>8} {'vs K=1':>7} {'q1':>6} {'q3':>6} "
-              f"{'MB/trial':>8} {'MB':>6}")
+              f"{'MB/trial':>8} {'MB':>6}" + ratio_head)
         # K = 1 first: its row is the A/A control of every ratio
         ks = list(dict.fromkeys([1, *args.union_k]))
         for model, steps in (("agents", args.agents_steps),
                              ("density", args.density_steps)):
-            for r in time_unions(model, ks, steps, args.warmup):
+            for r in time_unions(model, ks, steps, args.warmup, parent):
                 rows[f"{model}_union"].append(r)
                 t, v = r["ms_per_step"], r["vs_k1"]
                 k = "A/A" if r.get("control") else r["blocks"]
@@ -249,7 +327,7 @@ def main(argv=None):
                       f"{r['us_per_link']:>8.2f} {v['median']:>7.3f} "
                       f"{v['q1']:>6.3f} {v['q3']:>6.3f} "
                       f"{r['stored_bytes_per_trial'] / 1e6:>8.2f} "
-                      f"{r['stored_bytes'] / 1e6:>6.2f}")
+                      f"{r['stored_bytes'] / 1e6:>6.2f}" + _ratios(r))
     if args.write_steps > 0:
         w = time_writer(args.write_steps)
         rows["writer"].append({"n": WRITE_N, "rows": args.write_steps, **w})

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from .io import OVParams
 # wraps them
 from .signals import link_go, reservoir_observables  # noqa: F401
 
-__all__ = ["AgentState", "init_agents", "agent_link_densities", "AgentSim"]
+__all__ = ["AgentState", "init_agents", "AgentSim"]
 
 
 class AgentState:
@@ -50,17 +52,22 @@ class AgentState:
 
 
 class _TurnSampler:
-    """Inverse-CDF turn draws from a TurnTable's rows (one uniform per draw)."""
+    """Inverse-CDF turn draws from a TurnTable's rows (one uniform per draw).
+
+    Rows are kept as lists: bisect_right on a list of floats picks what
+    np.searchsorted(..., side="right") picks on its array, without numpy's
+    per-call overhead on a row of a few entries.
+    """
 
     def __init__(self, table):
         rows = [table.row(l) for l in range(table.n_links)]
-        self.to = [to for to, _ in rows]
-        self.cum = [np.cumsum(w) for _, w in rows]
+        self.to = [to.tolist() for to, _ in rows]
+        self.cum = [np.cumsum(w).tolist() for _, w in rows]
 
     def draw(self, link, rng):
         cum = self.cum[link]
-        k = int(np.searchsorted(cum, rng.random(), side="right"))
-        return int(self.to[link][min(k, cum.size - 1)])
+        k = bisect.bisect_right(cum, rng.random())
+        return self.to[link][min(k, len(cum) - 1)]
 
 
 def init_agents(net, table, rng, per_link=10, params=None):
@@ -99,10 +106,18 @@ def init_agents(net, table, rng, per_link=10, params=None):
     return AgentState(link, x, np.zeros_like(x), nxt)
 
 
-def agent_link_densities(state, net):
-    """Per-link densities: agent count / link length."""
-    counts = np.bincount(state.link, minlength=net.n_links)
-    return counts / net.length
+class _Segments(NamedTuple):
+    """AgentSim's segment index under one go mask (see AgentSim._index)."""
+    first: np.ndarray        # (n_links + 1,) rear agent index of each link
+    same: np.ndarray         # same[i]: agents i and i + 1 share a link
+    lead: np.ndarray         # leader indices, red-facing first
+    end: np.ndarray          # the leaders' link lengths
+    extra: np.ndarray        # the leaders' gaps past the line (0 on red)
+    n_red: int               # leaders facing red
+    green_links: np.ndarray  # the green leaders' links, ascending
+    rear: np.ndarray         # rear agent index of each green leader's next link
+    empty: np.ndarray        # that next link holds no agent
+    h: np.ndarray            # per-agent scratch: headways, then gaps
 
 
 class AgentSim(_Reservoir):
@@ -154,6 +169,7 @@ class AgentSim(_Reservoir):
         # a block's agents stay on its links, so its agent slice is fixed;
         # min_gap reduces over the slices of the blocks that have agents
         agent_off = self.state.link.searchsorted(self._link_off)
+        self._link_ids = np.arange(self._link_off[-1] + 1)
         self._gap_of = np.flatnonzero(np.diff(agent_off))
         self._gap_at = agent_off[self._gap_of]
 
@@ -166,47 +182,65 @@ class AgentSim(_Reservoir):
         """Advance one reservoir step under the per-link go mask: the Euler
         substeps and their transfers. Returns the link densities taken
         before the step."""
-        dens = agent_link_densities(self.state, self.net)
+        self._index(go)
+        dens = np.diff(self._seg.first) / self.net.length
         for _ in range(self.params.substeps):
             self._substep(go)
         self.t += 1
         return dens
 
-    def _substep(self, go):
+    def _index(self, go):
+        """Cache the segment index of the sorted agents under go.
+
+        first[l] is the index of link l's rear agent and first[l + 1] - 1
+        that of its leader. The links and masks derived from it change only
+        when an agent changes link, so a step builds them once and a substep
+        rebuilds them only after transfers.
+        """
         st = self.state
+        ls = st.link
+        first = ls.searchsorted(self._link_ids)
+        after = first[1:]           # after[l]: one past link l's leader
+        occupied = after != first[:-1]
+        # the leaders facing red first, then those facing green, each by link
+        red = (occupied & ~go).nonzero()[0]
+        green = (occupied & go).nonzero()[0]
+        links = np.concatenate((red, green))
+        lead = after[links] - 1
+        # a green leader's next link: the index of its rear agent, or empty
+        nxt = st.next_link[lead[red.size:]]
+        rear = first[nxt]
+        self._seg = _Segments(
+            first, ls[1:] == ls[:-1], lead, self.net.length[links],
+            np.zeros(links.size), red.size, green, rear,
+            rear == after[nxt], np.empty(ls.size))
+
+    def _substep(self, go):
+        seg = self._seg
         p = self.params
-        n = st.count
-        if n == 0:
+        xs = self.state.x
+        if xs.size == 0:
             return
-        xs, ls = st.x, st.link
-        # segment masks, shared by the kernel, the transfers and min_gap
-        same = ls[1:] == ls[:-1]
-        lead = np.empty(n, dtype=bool)
-        lead[-1] = True
-        np.logical_not(same, out=lead[:-1])
-        go_ls = go[ls]
-        red_lead = lead & ~go_ls
-        green_lead = lead & go_ls
-        end = self.net.length[ls]
-        extra = np.zeros(n)
-        if green_lead.any():
-            # rear-most occupant per link: the first agent of each segment
-            rear = np.full(self.net.n_links, np.inf)
-            starts = np.flatnonzero(lead[:-1]) + 1
-            rear[ls[starts]] = xs[starts]
-            rear[ls[0]] = xs[0]
-            ahead = rear[st.next_link[green_lead]]
-            extra[green_lead] = np.where(np.isfinite(ahead), ahead, p.horizon)
-        kernels.agents_substep(xs, st.v, end, extra, same, lead, red_lead,
-                               p.a, 0.5 * p.v_scale, p.c, p.w, self._tanh_c,
-                               p.dt, p.d_min)
-        crossing = ls[green_lead & (xs > end)]
+        n_red = seg.n_red
+        # an empty next link's rear index may be n: clipped, then not used
+        seg.extra[n_red:] = np.where(seg.empty, p.horizon,
+                                     xs.take(seg.rear, mode="clip"))
+        kernels.agents_substep(xs, self.state.v, seg.h, seg.same, seg.lead,
+                               seg.end, seg.extra, n_red, p.a,
+                               0.5 * p.v_scale, p.c, p.w, self._tanh_c, p.dt,
+                               p.d_min)
+        crossing = seg.green_links[xs.take(seg.lead[n_red:]) > seg.end[n_red:]]
         if crossing.size:
             self._transfers(crossing.tolist(), go)
-            same = st.link[1:] == st.link[:-1]
+            # the agents moved, and a subclass's transfers may even replace
+            # the state's arrays: index and read them again
+            self._index(go)
+            seg = self._seg
+            xs = self.state.x
         # per-block minimum of the same-link gaps, one reduceat over blocks
-        gap = np.full(n, np.inf)
-        np.subtract(st.x[1:], st.x[:-1], out=gap[:-1], where=same)
+        gap = seg.h
+        np.subtract(xs[1:], xs[:-1], out=gap[:-1])
+        gap[seg.lead] = np.inf
         np.minimum.at(self.min_gaps, self._gap_of,
                       np.minimum.reduceat(gap, self._gap_at))
 

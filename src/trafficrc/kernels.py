@@ -32,36 +32,52 @@ def density_step(q, rate, go, src, to, wgt):
 
 # --- multi-agent model -----------------------------------------------------
 
-def agents_substep(xs, vs, end, extra, same, lead, red_lead, a, vhalf, c, w,
+def agents_substep(xs, vs, h, same, lead, end, extra, n_red, a, vhalf, c, w,
                    tanh_c, dt, d_min):
     """One Euler substep over sorted agent arrays, in place.
 
     Agents are sorted by (link, position ascending), so each link's leader
-    ends its segment. end[i] is the length of agent i's link, same[i] says
-    agents i and i+1 share a link, lead marks the segment leaders and
-    red_lead those of them facing a red light. extra[i] holds the gap beyond
-    the stop line that a green leader may use (rear of its next link, or the
-    horizon).
+    ends its segment. same[i] says agents i and i+1 share a link. lead holds
+    the leaders' indices, the n_red that face a red light first; end holds
+    the lengths of their links and extra the gap beyond the stop line that
+    each may use (for a green leader the rear of its next link, or the
+    horizon). h is scratch space of one float per agent.
 
     Velocities relax toward the optimal velocity of the headway, positions
     advance, red leaders stop at the line, and each follower is clamped to
-    d_min behind the agent ahead, back to front.
+    d_min behind the agent ahead, back to front. The arithmetic runs in h
+    and in place, one float operation at a time in the order of the
+    expressions it stands for.
     """
     n = xs.shape[0]
     if n == 0:
         return
-    h = np.empty(n)
-    h[:-1] = xs[1:] - xs[:-1]
-    h[lead] = end[lead] - xs[lead] + extra[lead]
+    # the headway h, then vopt = vhalf * (tanh((h - c) / w) + tanh_c), then
+    # the relaxed velocity max(vs + a * (vopt - vs) * dt, 0)
+    np.subtract(xs[1:], xs[:-1], out=h[:-1])
+    h[lead] = end - xs.take(lead) + extra
     np.maximum(h, 0.0, out=h)
-    vopt = vhalf * (np.tanh((h - c) / w) + tanh_c)
-    np.maximum(vs + a * (vopt - vs) * dt, 0.0, out=vs)
-    xs += vs * dt
-    over = red_lead & (xs > end)
-    if over.any():
-        xs[over] = end[over]
-        vs[over] = 0.0
-    viol = same & (xs[:-1] > xs[1:] - d_min)
+    h -= c
+    h /= w
+    np.tanh(h, out=h)
+    h += tanh_c
+    h *= vhalf
+    h -= vs
+    h *= a
+    h *= dt
+    vs += h
+    np.maximum(vs, 0.0, out=vs)
+    np.multiply(vs, dt, out=h)
+    xs += h
+    if n_red:
+        red, red_end = lead[:n_red], end[:n_red]
+        over = xs.take(red) > red_end
+        if over.any():
+            stop = red[over]
+            xs[stop] = red_end[over]
+            vs[stop] = 0.0
+    viol = xs[:-1] > np.subtract(xs[1:], d_min, out=h[:-1])
+    viol &= same
     if viol.any():
         _clamp_followers(xs, same, np.flatnonzero(viol), d_min)
 

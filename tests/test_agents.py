@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficrc import kernels
-from trafficrc.agents import (AgentSim, AgentState, OVParams,
-                              agent_link_densities, init_agents)
-from trafficrc.lattice import assign_turn_table, build_lattice
+from trafficrc.agents import (AgentSim, AgentState, OVParams, _TurnSampler,
+                              init_agents)
+from trafficrc.lattice import TurnTable, assign_turn_table, build_lattice
 from trafficrc.signals import TWO_PI, PhaseBank, link_go
 
 
@@ -106,13 +106,54 @@ def test_init_agents_per_link_counts_and_spacing_guard():
         init_agents(net, table, rng, per_link=250)  # spacing below d_min
 
 
+class _Replay:
+    """Stands in for a Generator whose random() returns the given floats."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_turn_draws_match_searchsorted_on_the_cumulative_weights():
+    # row 0's weights sum to 0.9999999999999999: a uniform at or above that
+    # sum must take the row's last target, as the clamped searchsorted does
+    rows = [([1, 2, 0], [0.39546198954297845, 0.5930180594914135,
+                         0.011519950965607977]),
+            ([0, 2], [0.25, 0.75]), ([1], [1.0])]
+    table = TurnTable(np.repeat(np.arange(3), [len(to) for to, _ in rows]),
+                      np.concatenate([to for to, _ in rows]),
+                      np.concatenate([w for _, w in rows]), 3)
+    assert np.cumsum(rows[0][1])[-1] < 1.0
+    sampler = _TurnSampler(table)
+    rng = np.random.default_rng(21)
+    for link, (to, w) in enumerate(rows):
+        cum = np.cumsum(w)
+        # every cumulative boundary exactly and its neighbours, and the top
+        # of [0, 1)
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0),
+                                np.nextafter(cum, 2.0), [0.0, np.nextafter(1.0, 0.0)]])
+        us = np.concatenate([rng.random(10**4), edges]).tolist()
+        got = [sampler.draw(link, _Replay([u])) for u in us]
+        k = np.minimum(np.searchsorted(cum, us, side="right"), cum.size - 1)
+        assert got == np.asarray(to)[k].tolist()
+        assert all(type(t) is int for t in got)
+
+
 def test_link_densities_are_counts_over_length():
     net = build_lattice(2, 20.0)
     rng = np.random.default_rng(2)
     table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
-    st = init_agents(net, table, rng, per_link=5)
-    k = agent_link_densities(st, net)
-    assert k == pytest.approx(np.full(net.n_links, 0.25))
+    counts = rng.integers(0, 8, net.n_links)
+    st = init_agents(net, table, rng, per_link=counts)
+    bank = PhaseBank(30.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
+    sim = AgentSim(net, table, bank, st, OVParams(), rng)
+    # step returns the densities its agents had before it moved them
+    k = sim.step(np.ones(net.n_links, dtype=bool))
+    assert np.array_equal(k, counts / 20.0)
+    assert np.array_equal(sim.step(np.zeros(net.n_links, dtype=bool)),
+                          np.bincount(sim.state.link, minlength=net.n_links) / 20.0)
 
 
 # --- kernel vs sequential-loop oracle -----------------------------------------
@@ -150,13 +191,15 @@ def _agents_substep_loops(xs, vs, ls, extra, link_len, red, a, vhalf, c, w,
 
 
 def run_kernel(xs, vs, ls, extra, link_len, red, *params):
-    """kernels.agents_substep on copies, with the masks _substep builds."""
+    """kernels.agents_substep on copies, with the leader index _substep
+    builds: leaders facing red first, then those facing green."""
     xs, vs = xs.copy(), vs.copy()
     same = ls[1:] == ls[:-1]
-    lead = np.r_[~same, True]
-    end = link_len[ls]
-    kernels.agents_substep(xs, vs, end, extra, same, lead, lead & red[ls],
-                           *params)
+    lead = np.flatnonzero(np.r_[~same, True])
+    lead = lead[np.argsort(~red[ls[lead]], kind="stable")]
+    n_red = int(np.count_nonzero(red[ls[lead]]))
+    kernels.agents_substep(xs, vs, np.empty(xs.size), same, lead,
+                           link_len[ls[lead]], extra[lead], n_red, *params)
     return xs, vs
 
 
@@ -554,6 +597,63 @@ def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, empty):
         assert (union.rngs[b].bit_generator.state
                 == sim.rngs[0].bit_generator.state)
     assert union.min_gap == min(sim.min_gap for sim in solo)
+
+
+# --- the cached segment index vs one rebuilt every substep ---------------------
+
+class FreshIndexSim(AgentSim):
+    """AgentSim that drops its segment index and rebuilds it before every
+    substep: the reference for the index AgentSim caches between
+    transfers."""
+
+    def _substep(self, go):
+        self._index(go)
+        super()._substep(go)
+
+
+def filled_block(rng, n, params, fill):
+    """A random block whose links hold random counts of agents, as many as
+    their length takes (so entries get blocked when d_min > 0), or none."""
+    if fill != "full":
+        return random_block(rng, n, params, empty=fill == "empty")
+    n_links = 4 * n * (n - 1)
+    lengths = rng.uniform(3.0, 20.0, n_links)
+    net = build_lattice(n, lengths)
+    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+    nj = net.n_junctions
+    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj))
+    counts = np.floor(lengths / max(params.d_min, 0.2)).astype(int) - 1
+    state = init_agents(net, table, rng, per_link=counts, params=params)
+    return net, table, bank, state
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+       fills=st.lists(st.sampled_from(["random", "full", "empty"]),
+                      min_size=1, max_size=4),
+       d_min=st.sampled_from([0.0, 0.05, 0.1]),
+       dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+def test_the_cached_index_is_never_stale(seed, n, fills, d_min, dt):
+    rng = np.random.default_rng(seed)
+    p = OVParams(dt=dt, d_min=d_min)
+    blocks = [filled_block(rng, n, p, fill) for fill in fills]
+
+    def sim(cls):
+        sims = [cls(net, table, copy.deepcopy(bank), state.copy(), p,
+                    np.random.default_rng((seed, b)))
+                for b, (net, table, bank, state) in enumerate(blocks)]
+        return cls.union(sims) if len(sims) > 1 else sims[0]
+
+    cached, fresh = sim(AgentSim), sim(FreshIndexSim)
+    got, want = cached.run(40), fresh.run(40)
+    for name in ("u", "k"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("link", "x", "v", "next_link"):
+        a, b = getattr(cached.state, name), getattr(fresh.state, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert cached.min_gaps.tobytes() == fresh.min_gaps.tobytes()
+    assert ([r.bit_generator.state for r in cached.rngs]
+            == [r.bit_generator.state for r in fresh.rngs])
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -1,18 +1,27 @@
 """benchmarks/bench_kernels.py imports program internals (tasks._union,
-tasks._plan, tasks._span and tasks._trial_bytes); a short run here keeps it
-from rotting against them."""
+tasks._plan, tasks._span and tasks._trial_bytes), of this tree and, with
+--against, of a second one; short runs here keep it from rotting against
+them."""
 
 import importlib.util
 import json
 import pathlib
 
-_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+import pytest
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "benchmarks" / "bench_kernels.py"
 
 
-def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
+def _bench():
     spec = importlib.util.spec_from_file_location("bench_kernels", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
+    module = _bench()
     out = tmp_path / "bench.json"
     module.main(["--agents-n", "3", "--density-n", "5", "--union-k", "1,2",
                  "--agents-steps", "20", "--density-steps", "40",
@@ -37,3 +46,37 @@ def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
     startup, = rows["startup"]
     assert startup["runs"] == 2
     assert startup["ms"]["median"] > 0 and startup["peak_rss_mb"] > 0
+
+
+def _ordered(s):
+    return s["q1"] <= s["median"] <= s["q3"]
+
+
+def test_bench_kernels_against_a_second_tree(tmp_path, capsys):
+    # this repository's src, imported a second time under another name,
+    # stands in for the parent tree
+    module = _bench()
+    out = tmp_path / "bench.json"
+    module.main(["--agents-n", "2", "--density-n", "3", "--union-k", "2",
+                 "--agents-steps", "20", "--density-steps", "40",
+                 "--warmup", "2", "--against", str(_ROOT / "src"),
+                 "--json", str(out)])
+    parent = module.sys.modules[module.AGAINST]
+    assert pathlib.Path(parent.__file__).parent == _ROOT / "src" / "trafficrc"
+    assert parent.tasks is not module.tasks
+    rows = json.loads(out.read_text())
+    per_n = rows["agents"] + rows["density"]
+    unions = rows["agents_union"] + rows["density_union"]
+    assert [r["blocks"] for r in unions] == [1, 2, 1, 2]
+    for r in per_n + unions:
+        vs = r["against"]
+        assert vs["parent_ms_per_step"]["median"] > 0
+        assert _ordered(vs["change_vs_parent"]) and _ordered(vs["parent_vs_parent"])
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.split()[-7:] == ["vs", "par", "q1", "q3", "A/A", "q1", "q3"]
+
+
+def test_bench_kernels_against_refuses_a_tree_without_the_package(tmp_path):
+    with pytest.raises(SystemExit, match="no trafficrc package"):
+        _bench().main(["--agents-n", "", "--density-n", "", "--union-k", "",
+                       "--against", str(tmp_path)])

@@ -7,10 +7,11 @@ import pathlib
 
 import pytest
 
-from trafficrc import tasks
+from trafficrc import kernels, tasks
 from trafficrc.agents import AgentSim
 from trafficrc.density import DensitySim
 from trafficrc.io import config_from_dict
+from trafficrc.lattice import build_lattice
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -65,3 +66,22 @@ def test_every_trial_calls_the_traced_readout_names(monkeypatch, kind):
     assert {name: calls[name] for name in once} == once
     assert calls["log_nrmse"] >= cfg.trials
     assert calls["lag_diagnostic"] >= cfg.trials
+
+
+def test_every_agents_substep_calls_the_traced_kernel(monkeypatch):
+    # the tracer counts kernels.agents_substep_calls through this module
+    # attribute; a substep that inlined the kernel would read 0 there
+    calls = []
+    kernel = kernels.agents_substep
+
+    def spy(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "agents_substep", spy)
+    cfg = config_from_dict({"model": "agents", "n": 2, "seed": 9,
+                            "ov": {"dt": 0.25}})
+    sim = tasks._union(cfg, build_lattice(cfg.n, cfg.link_length), range(2))
+    steps = 7
+    sim.run(steps)
+    assert len(calls) == steps * cfg.ov.substeps == 28
