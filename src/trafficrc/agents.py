@@ -259,8 +259,9 @@ class AgentSim(_Reservoir):
         lens = self.net.length
         d_min = self.params.d_min
         ls, xs, vs, nxt = st.link, st.x, st.v, st.next_link
-        # first[l]: index of link l's rear agent; first[l + 1] - 1 its leader
-        first = ls.searchsorted(np.arange(lens.size + 1))
+        # the cached index's first (see _index), kept up to date here; the
+        # substep rebuilds the whole index after this call
+        first = self._seg.first
         while heap:
             src = heapq.heappop(heap)
             s0, i = int(first[src]), int(first[src + 1]) - 1

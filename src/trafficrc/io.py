@@ -21,8 +21,6 @@ __all__ = [
 VERSION = "0.1.0"
 OUT_ENV = "TRAFFICRC_OUT"  # overrides the default output root ("runs")
 
-_SYNTH_KINDS = ("sinusoid", "sinusoid+ar1")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
@@ -54,8 +52,9 @@ _WEIGHTS = ("3 finite weights >= 0 that sum to 1",
             and all(_is_finite(w) and w >= 0 for w in v) and abs(sum(v) - 1.0) <= 1e-12)
 
 
-# the lattice is built by Python loops over its n^2 junctions, at about 220 B
-# per link: n = 1000 (about 4 million links) already takes about 0.9 GB
+# the lattice holds about 40 B per link, and each trial's turn table about
+# 100 B per link, drawn one link at a time: n = 1000 (about 4 million links)
+# holds about 0.6 GB and spends about 40 s on one table (4x n = 500's cost)
 _N_MAX = 1000
 # a run stores u, one row per step: a million steps of the 5x5 recipe hold
 # 200 MB of it, and each further key of the span adds as many
@@ -111,7 +110,7 @@ def _check(obj, block=None):
 @dataclass(frozen=True)
 class SynthSpec:
     """Synthetic external-series recipe (daily sinusoid, optional AR(1))."""
-    kind: str = _key("sinusoid+ar1", _choice(*_SYNTH_KINDS))
+    kind: str = _key("sinusoid+ar1", _choice("sinusoid", "sinusoid+ar1"))
     length: int | None = _key(None, int, ge=2, le=_SPAN_MAX)  # None: the span
     amplitude: float = _key(10.0, float)
     offset: float = _key(20.0, float)
@@ -286,50 +285,44 @@ def _parse_timestamp(text):
         return None
 
 
+def _parse_row(line):
+    """(timestamp or None, value) of a "value" or "timestamp,value" row, or
+    None for a row that is neither."""
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) > 2:
+        return None
+    try:
+        value = float(cells[-1])
+    except ValueError:
+        return None
+    if len(cells) == 1:
+        return None, value
+    ts = _parse_timestamp(cells[0])
+    return None if ts is None else (ts, value)
+
+
 def read_series_csv(path):
     """Read a 1-column (value) or 2-column (timestamp, value) series CSV.
 
     Timestamps (numbers or ISO dates) must increase; only the values are
-    returned. Errors cite 1-based row numbers. NaN or infinite values are
-    rejected.
+    returned. A first row that parses as neither form is a header. Errors
+    cite 1-based row numbers. NaN or infinite values are rejected.
     """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    rows = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
+        rows = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln]
     if not rows:
         raise ValueError(f"{path}: empty series file")
-
-    def parse(line):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) == 1:
-            try:
-                return None, float(cells[0])
-            except ValueError:
-                return "bad", None
-        if len(cells) == 2:
-            ts = _parse_timestamp(cells[0])
-            try:
-                val = float(cells[1])
-            except ValueError:
-                return "bad", None
-            if ts is None:
-                return "bad", None
-            return ts, val
-        return "bad", None
-
-    start = 0
-    first_ts, _ = parse(rows[0][1])
-    if first_ts == "bad":
-        start = 1  # header row
+    if _parse_row(rows[0][1]) is None:
+        rows = rows[1:]  # header row
     times, values = [], []
-    for rownum, line in rows[start:]:
-        ts, val = parse(line)
-        if ts == "bad":
+    for rownum, line in rows:
+        parsed = _parse_row(line)
+        if parsed is None:
             raise ValueError(f"{path}: row {rownum}: cannot parse series entry")
-        if not math.isfinite(val):
+        if not math.isfinite(parsed[1]):
             raise ValueError(f"{path}: row {rownum}: non-finite value")
-        times.append(ts)
-        values.append(val)
+        times.append(parsed[0])
+        values.append(parsed[1])
     if not values:
         raise ValueError(f"{path}: no data rows")
     stamped = [t is not None for t in times]
@@ -339,29 +332,24 @@ def read_series_csv(path):
         for i in range(1, len(times)):
             if times[i] <= times[i - 1]:
                 raise ValueError(
-                    f"{path}: row {rows[start + i][0]}: timestamps must increase")
+                    f"{path}: row {rows[i][0]}: timestamps must increase")
     return np.asarray(values, dtype=float)
 
 
-def synth_series(kind, length, rng, amplitude=10.0, offset=20.0, period=96.0,
-                 rho=0.95, sigma=0.8):
-    """Daily-profile surrogate: offset + amplitude sin(2 pi t / period).
-
-    kind "sinusoid+ar1" adds AR(1) noise e[t] = rho e[t-1] + sigma z[t] with
-    standard-normal z (rho=0 gives white offsets).
+def synth_series(spec, length, rng):
+    """`length` values of the SynthSpec recipe spec: offset + amplitude
+    sin(2 pi t / period), plus for kind "sinusoid+ar1" the AR(1) noise
+    e[t] = rho e[t-1] + sigma z[t] with standard-normal z drawn from rng
+    (rho=0 gives white offsets).
     """
-    if kind not in _SYNTH_KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
-    if length < 2:
-        raise ValueError("length must be >= 2")
     t = np.arange(length, dtype=float)
-    out = offset + amplitude * np.sin(2.0 * np.pi * t / period)
-    if kind == "sinusoid+ar1":
+    out = spec.offset + spec.amplitude * np.sin(2.0 * np.pi * t / spec.period)
+    if spec.kind == "sinusoid+ar1":
         z = rng.standard_normal(length)
         e = np.empty(length)
         prev = 0.0
         for i in range(length):
-            prev = rho * prev + sigma * z[i]
+            prev = spec.rho * prev + spec.sigma * z[i]
             e[i] = prev
         out = out + e
     return out
@@ -377,17 +365,11 @@ def write_series_csv(path, values):
 
 # --- results -----------------------------------------------------------------
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _series_heads(result):
@@ -515,7 +497,7 @@ def emit_sweep_results(out_dir, command, cfg, sweep, notes=None):
 
 
 def _value_tag(value):
-    return _fmt(value).replace(".", "p").replace("-", "m")
+    return str(value).replace(".", "p").replace("-", "m")
 
 
 # --- plotting ----------------------------------------------------------------

@@ -15,6 +15,7 @@ __all__ = [
 N, E, S, W = 0, 1, 2, 3
 DX = (0, 1, 0, -1)
 DY = (1, 0, -1, 0)
+_DIR_OF_STEP = {step: d for d, step in enumerate(zip(DX, DY))}
 
 _WEIGHT_TOL = 1e-12
 
@@ -41,8 +42,6 @@ class Network:
         self.link_axis_ns = (link_dir == N) | (link_dir == S)
         self.out_by_dir = np.full((self.n_junctions, 4), -1, dtype=np.int64)
         self.out_by_dir[link_from, link_dir] = np.arange(self.n_links)
-        self._index = {(int(link_from[l]), int(link_to[l])): l
-                       for l in range(self.n_links)}
 
     def junction_id(self, x, y):
         """Row-major junction id for grid coordinates (x east, y north)."""
@@ -52,10 +51,14 @@ class Network:
 
     def link_index(self, from_j, to_j):
         """Canonical index of the directed link from_j -> to_j."""
-        try:
-            return self._index[(int(from_j), int(to_j))]
-        except KeyError:
-            raise ValueError(f"no link {from_j} -> {to_j}") from None
+        f, t = int(from_j), int(to_j)
+        # range-checked first: a negative id would wrap in out_by_dir
+        if 0 <= f < self.n_junctions and 0 <= t < self.n_junctions:
+            (fy, fx), (ty, tx) = divmod(f, self.n), divmod(t, self.n)
+            d = _DIR_OF_STEP.get((tx - fx, ty - fy))
+            if d is not None:
+                return int(self.out_by_dir[f, d])
+        raise ValueError(f"no link {from_j} -> {to_j}")
 
 
 def build_lattice(n, link_length=1.0):
@@ -67,18 +70,13 @@ def build_lattice(n, link_length=1.0):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
     n = int(n)
-    frm, to, dr = [], [], []
-    for j in range(n * n):
-        x, y = j % n, j // n
-        for d in (N, E, S, W):
-            nx, ny = x + DX[d], y + DY[d]
-            if 0 <= nx < n and 0 <= ny < n:
-                frm.append(j)
-                to.append(ny * n + nx)
-                dr.append(d)
-    link_from = np.asarray(frm, dtype=np.int64)
-    link_to = np.asarray(to, dtype=np.int64)
-    link_dir = np.asarray(dr, dtype=np.int64)
+    j = np.arange(n * n, dtype=np.int64)[:, None]
+    # (junction, direction) pairs whose step stays on the grid; nonzero
+    # yields them junction first, then direction: the canonical link order
+    nx, ny = j % n + np.asarray(DX), j // n + np.asarray(DY)
+    on = (nx >= 0) & (nx < n) & (ny >= 0) & (ny < n)
+    link_from, link_dir = (a.astype(np.int64) for a in np.nonzero(on))
+    link_to = ny[on] * n + nx[on]
     n_links = link_from.size
 
     if np.isscalar(link_length):

@@ -83,8 +83,13 @@ def predict(w, x):
     return w @ x
 
 
-def log_nrmse(y, y_hat, base=10.0, floor=-12.0):
-    """log_base of the normalized RMSE, clamped below at `floor`.
+# a score is log10 of the NRMSE, clamped below: an exact fit reads the floor
+_LOG_BASE = 10.0
+_FLOOR = -12.0
+
+
+def log_nrmse(y, y_hat):
+    """log10 of the normalized RMSE, clamped below at _FLOOR (-12).
 
     NRMSE = sqrt(mean ||y - y_hat||^2 / mean ||y - <y>||^2) with time means;
     multi-output targets use the stacked squared norm per step. A constant
@@ -104,7 +109,7 @@ def log_nrmse(y, y_hat, base=10.0, floor=-12.0):
     if denom == 0.0:
         raise ValueError("teacher series is constant; score undefined")
     if err == 0.0:
-        return float(floor)
-    score = 0.5 * math.log(err / denom) / math.log(base)
-    return max(score, float(floor))
+        return _FLOOR
+    score = 0.5 * math.log(err / denom) / math.log(_LOG_BASE)
+    return max(score, _FLOOR)
 

@@ -280,17 +280,15 @@ def _synth_series(cfg):
     experiment's span when no length is set. Every trial reads the same one."""
     sp = cfg.series_synth
     length = sp.length if sp.length is not None else _span(cfg)[0]
-    return _io.synth_series(sp.kind, length,
-                            default_rng((cfg.seed, STREAM_SERIES)),
-                            amplitude=sp.amplitude, offset=sp.offset,
-                            period=sp.period, rho=sp.rho, sigma=sp.sigma)
+    return _io.synth_series(sp, length, default_rng((cfg.seed, STREAM_SERIES)))
 
 
-def _series_values(cfg, series, steps):
-    """First `steps` values of `series`, else series_csv, else the synthetic one."""
-    if series is not None:
-        key, values = None, np.asarray(series, dtype=float)
-    elif cfg.series_csv is not None:
+def _series_values(cfg, steps):
+    """(key, values): the config key that names the external series,
+    series_csv if set and else series_synth, and its first `steps` values."""
+    if cfg.series_csv is None:
+        key, values = "series_synth", _synth_series(cfg)
+    else:
         key = "series_csv"
         try:
             values = _io.read_series_csv(cfg.series_csv)
@@ -300,15 +298,14 @@ def _series_values(cfg, series, steps):
                 f"{exc.strerror or exc}") from None
         except ValueError as exc:
             raise _io.ConfigError(f"config key 'series_csv': {exc}") from None
-    else:
-        key, values = "series_synth", _synth_series(cfg)
     if values.size < steps:
-        msg = f"series holds {values.size} steps; the experiment needs {steps}"
-        raise _io.ConfigError(f"config key {key!r}: {msg}") if key else ValueError(msg)
-    return values[:steps]
+        raise _io.ConfigError(
+            f"config key {key!r}: series holds {values.size} steps; the "
+            f"experiment needs {steps}")
+    return key, values[:steps]
 
 
-def _plan(cfg, net, series=None):
+def _plan(cfg, net):
     """Check cfg against its task, on its lattice net, before any simulation.
 
     Returns (inputs, links, readout): the external drive of every trial
@@ -330,11 +327,13 @@ def _plan(cfg, net, series=None):
                 "config key 'model': the external-series task runs on the "
                 "density model")
         steps = _span(cfg)[0]
-        y = _series_values(cfg, series, steps)
+        key, y = _series_values(cfg, steps)
         prefix = y[:cfg.washout + cfg.train]
         mu, sd = float(prefix.mean()), float(prefix.std())
         if sd == 0.0:
-            raise ValueError("external series is constant over the training prefix")
+            raise _io.ConfigError(
+                f"config key {key!r}: series is constant over the training "
+                f"prefix (its first {prefix.size} steps)")
         z = (y - mu) / sd
         inputs = np.concatenate([np.zeros(cfg.T), z[:steps - cfg.T]])
         return inputs, [], functools.partial(_read_series, cfg, y, z)
@@ -388,16 +387,15 @@ def _run(cfg, net, plans, shared):
     return by_key
 
 
-def run_experiment(cfg, series=None):
+def run_experiment(cfg):
     """Run every trial of the configured (task, model); returns the trial list.
 
     cfg is validated here, so a config whose model or task was switched
-    after loading is checked as it runs. series, if given, replaces the
-    external series of the external_series task.
+    after loading is checked as it runs.
     """
     _io.validate_config(cfg)
     net = build_lattice(cfg.n, cfg.link_length)
-    return _run(cfg, net, {None: (cfg, *_plan(cfg, net, series))}, True)[None]
+    return _run(cfg, net, {None: (cfg, *_plan(cfg, net))}, True)[None]
 
 
 def average_prediction(results, count=None):
@@ -445,7 +443,7 @@ def _sweep_value(param, raw):
     return int(value)
 
 
-def sweep(cfg, param, values, series=None):
+def sweep(cfg, param, values):
     """Run the configured experiment for each parameter value.
 
     The base seed is reused, so trials stay paired across values, and every
@@ -477,7 +475,7 @@ def sweep(cfg, param, values, series=None):
             "config key 'M': only the agents model reads M; a sweep over it "
             f"would repeat one result on the {cfg.model} model")
     net = build_lattice(cfg.n, cfg.link_length)
-    plans = {v: (c, *_plan(c, net, series)) for v, c in configs.items()}
+    plans = {v: (c, *_plan(c, net)) for v, c in configs.items()}
     moves = _ROWS[param]["moves"]
     shared = moves == "readout" or (moves == "span" and cfg.task == "density_link")
     by_value = _run(cfg, net, plans, shared)

@@ -21,7 +21,7 @@ from scipy import stats
 from trafficrc.agents import AgentSim, OVParams, init_agents
 from trafficrc.cli import main
 from trafficrc.density import DensitySim, init_density
-from trafficrc.io import config_from_dict, load_config
+from trafficrc.io import SynthSpec, config_from_dict, load_config
 from trafficrc.lattice import assign_turn_table, build_lattice
 from trafficrc.readout import assemble_matrix, log_nrmse, ridge_fit
 from trafficrc.signals import TWO_PI, PhaseBank, reservoir_observables
@@ -267,8 +267,10 @@ def test_c8_degenerate_inputs():
     parts.append(("constant teacher",
                   _raises(ValueError, log_nrmse, np.ones(50), np.zeros(50))
                   and _raises(ValueError, run_experiment,
-                              dataclasses.replace(tiny, task="external_series"),
-                              np.full(300, 7.0))))
+                              dataclasses.replace(
+                                  tiny, task="external_series",
+                                  series_synth=SynthSpec(amplitude=0.0,
+                                                         sigma=0.0)))))
 
     ok = all(flag for _, flag in parts)
     assert _verdict("C8 degenerate inputs", ok,

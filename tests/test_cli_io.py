@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import trafficrc
 from trafficrc import tasks
 from trafficrc.cli import main
-from trafficrc.io import (ConfigError, ExperimentConfig, _series_heads,
-                          _trial_series_csv, config_from_dict, config_to_dict,
+from trafficrc.io import (ConfigError, ExperimentConfig, SynthSpec,
+                          _series_heads, _trial_series_csv, _value_tag,
+                          _write_csv, config_from_dict, config_to_dict,
                           load_config, read_series_csv, synth_series,
                           write_series_csv)
 from trafficrc.tasks import TrialResult
@@ -107,27 +108,6 @@ def test_validation_rejects_infinite_values(patch, key):
         config_from_dict(data)
 
 
-@pytest.mark.parametrize("group,name", [
-    ("series_synth", "amplitude"),
-    ("series_synth", "offset"),
-    ("series_synth", "period"),
-    ("series_synth", "rho"),
-    ("series_synth", "sigma"),
-    ("ov", "a"),
-    ("ov", "v_scale"),
-    ("ov", "c"),
-    ("ov", "w"),
-    ("ov", "dt"),
-    ("ov", "d_min"),
-    ("ov", "horizon"),
-])
-def test_validation_rejects_infinite_nested_values(group, name):
-    # without the check, inf surfaces mid-run as "external input must be
-    # finite" or "teacher series is constant", naming no key
-    with pytest.raises(ConfigError, match=f"'{group}': {name} must be finite"):
-        config_from_dict({"n": 2, group: {name: math.inf}})
-
-
 @pytest.mark.parametrize("patch,key", [
     ({"p": "0.5"}, "p"),
     ({"p": True}, "p"),
@@ -171,16 +151,21 @@ _BLOCK_FIELDS = [(block, f) for block, cls in _BLOCKS.items()
 def test_every_block_key_refuses_a_wrong_value(block, field):
     # a block checks each of its keys against its row as it is built, from
     # a config or directly, so a block key added without a row fails here
-    bad = ["x", True, [1.0], math.inf, -math.inf, math.nan]
+    non_finite = [math.inf, -math.inf, math.nan]
+    bad = ["x", True, [1.0]] + non_finite
     bad += [1.5] if field.metadata["kind"] is int else []
     for value in bad:
+        # without the check, a float key's inf surfaced mid-run as "external
+        # input must be finite" or "teacher series is constant", naming no key
+        finite = field.metadata["kind"] is float and value in non_finite
         for build in (lambda: config_from_dict({block: {field.name: value}}),
                       lambda: _BLOCKS[block](**{field.name: value})):
             with pytest.raises(ConfigError) as exc:
                 build()
             # the block names its key once, then the field
             assert str(exc.value).startswith(
-                f"config key '{block}': {field.name} must be "), value
+                f"config key '{block}': {field.name} must be "
+                + ("finite" if finite else "")), value
             assert str(exc.value).count("config key") == 1
 
 
@@ -386,6 +371,14 @@ def test_read_refuses_mixed_rows_in_either_order(tmp_path, text):
         read_series_csv(path)
 
 
+def test_csv_cells_and_value_tags_write_numpy_scalars_as_numbers(tmp_path):
+    # repr of a numpy 2 float is "np.float64(0.1)"; its str is the number
+    path = tmp_path / "r.csv"
+    _write_csv(path, ["a", "b", "c"], [[np.float64(0.1), np.int64(3), None]])
+    assert path.read_text() == "a,b,c\n0.1,3,None\n"
+    assert _value_tag(np.float64(-0.5)) == _value_tag(-0.5) == "m0p5"
+
+
 def test_series_csv_round_trip(tmp_path):
     values = np.random.default_rng(8).normal(size=64)
     path = tmp_path / "s.csv"
@@ -444,34 +437,38 @@ def test_series_writers_match_the_per_row_writers(tmp_path, data, m, steps, t0):
 
 # --- synthetic series ----------------------------------------------------------
 
+_SINUSOID = SynthSpec(kind="sinusoid")
+
+
 def test_synth_sinusoid_period():
-    y = synth_series("sinusoid", 400, np.random.default_rng(0))
+    y = synth_series(_SINUSOID, 400, np.random.default_rng(0))
     assert np.allclose(y[:-96], y[96:], atol=1e-9)
     assert y.min() >= 10.0 - 1e-9 and y.max() <= 30.0 + 1e-9
 
 
 def test_synth_ar1_reduces_to_sinusoid_at_zero_sigma():
     rng = np.random.default_rng(1)
-    noisy = synth_series("sinusoid+ar1", 300, np.random.default_rng(1))
-    clean = synth_series("sinusoid+ar1", 300, np.random.default_rng(1), sigma=0.0)
-    pure = synth_series("sinusoid", 300, rng)
+    noisy = synth_series(SynthSpec(), 300, np.random.default_rng(1))
+    clean = synth_series(SynthSpec(sigma=0.0), 300, np.random.default_rng(1))
+    pure = synth_series(_SINUSOID, 300, rng)
     assert np.array_equal(clean, pure)
     assert not np.array_equal(noisy, pure)
 
 
 def test_synth_white_noise_at_zero_rho():
-    y = synth_series("sinusoid+ar1", 4000, np.random.default_rng(2),
-                     rho=0.0, sigma=1.0)
-    e = y - synth_series("sinusoid", 4000, np.random.default_rng(2))
+    y = synth_series(SynthSpec(rho=0.0, sigma=1.0), 4000,
+                     np.random.default_rng(2))
+    e = y - synth_series(_SINUSOID, 4000, np.random.default_rng(2))
     r1 = np.corrcoef(e[:-1], e[1:])[0, 1]
     assert abs(r1) < 0.05
 
 
 def test_synth_rejections():
-    with pytest.raises(ValueError, match="kind"):
-        synth_series("square", 10, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="length"):
-        synth_series("sinusoid", 1, np.random.default_rng(0))
+    # the recipe's rows refuse a bad kind or length before any series is made
+    with pytest.raises(ConfigError, match="kind"):
+        SynthSpec(kind="square")
+    with pytest.raises(ConfigError, match="length"):
+        SynthSpec(kind="sinusoid", length=1)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -753,6 +750,19 @@ def test_cli_task2_names_an_unreadable_series_file(tmp_path, capsys, name, reaso
                  "--out", str(tmp_path / "t2")]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == f"config key 'series_csv': {want}"
+
+
+def test_cli_task2_refuses_a_constant_series_naming_its_key(tmp_path, capsys):
+    spath = tmp_path / "flat.csv"
+    write_series_csv(spath, np.full(200, 7.0))
+    assert main(["task2", "--config", _write_cfg(tmp_path), "--series",
+                 str(spath), "--out", str(tmp_path / "a")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("config key 'series_csv': ") and "constant" in err
+    cfg = _write_cfg(tmp_path, series_synth={"amplitude": 0.0, "sigma": 0.0})
+    assert main(["task2", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("config key 'series_synth': ") and "constant" in err
 
 
 def test_cli_synth(tmp_path):

@@ -33,6 +33,24 @@ def test_lattice_matches_enumeration_oracle(n):
     assert len(oracle) == net.n_links
     got = list(zip(net.link_from, net.link_to, net.link_dir))
     assert [(int(a), int(b), int(d)) for a, b, d in got] == oracle
+    assert all(a.dtype == np.int64
+               for a in (net.link_from, net.link_to, net.link_dir))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_link_index_matches_the_oracle_on_every_id_pair(n):
+    # ids off the grid (a negative one would wrap in out_by_dir) and pairs
+    # that are not neighbours are refused alike
+    net = build_lattice(n)
+    index = {(a, b): l for l, (a, b, _) in enumerate(enumerate_links_oracle(n))}
+    for a in range(-2, n * n + 2):
+        for b in range(-2, n * n + 2):
+            if (a, b) in index:
+                got = net.link_index(a, b)
+                assert type(got) is int and got == index[(a, b)]
+            else:
+                with pytest.raises(ValueError, match=f"^no link {a} -> {b}$"):
+                    net.link_index(a, b)
 
 
 def test_junction_and_link_lookup():

@@ -193,15 +193,16 @@ def test_series_task_rejects_agents_model():
 
 
 def test_series_too_short_rejected():
-    cfg = config_from_dict(dict(_SMALL_SERIES))
-    with pytest.raises(ValueError, match="needs"):
-        run_experiment(cfg, series=np.ones(50))
+    cfg = config_from_dict(dict(_SMALL_SERIES, series_synth={"length": 50}))
+    with pytest.raises(ConfigError, match="'series_synth'.*needs"):
+        run_experiment(cfg)
 
 
 def test_series_constant_rejected():
-    cfg = config_from_dict(dict(_SMALL_SERIES))
-    with pytest.raises(ValueError, match="constant"):
-        run_experiment(cfg, series=np.full(300, 7.0))
+    cfg = config_from_dict(dict(_SMALL_SERIES, series_synth={
+        "amplitude": 0.0, "sigma": 0.0}))
+    with pytest.raises(ConfigError, match="'series_synth'.*constant"):
+        run_experiment(cfg)
 
 
 def test_series_zero_horizon_runs():
