@@ -11,14 +11,17 @@ is round(1/dt) Euler substeps plus the junction transfers. Reports the
 median and quartiles of ms per step over rounds and the median us per link
 per step, which stays flat when a step is linear in the lattice size.
 
-The union rows time one union of K blocks (block b is trial b) of the
-n = 3 agents model and of the n = 5 density model, the lattices of the
-agents and density recipes, as the tasks batch trials: ms per step per
-trial and us per link show how far K blocks in one set of arrays amortise
-the per-call overhead of a small lattice. Each row also gives the bytes of
-u and k that a trial of the model's recipe stores (tasks._trial_bytes), per
-trial and for K trials, which the tasks hold within tasks._BATCH_BYTES.
-Each model's unions are timed round-robin, one round of each K in turn, so
+The union rows time one union of K blocks (block b is trial b) of three
+recipes' reservoirs, as the tasks batch trials: the n = 3 agents model of
+the agents recipe, the n = 5 density model of the density recipe, and the
+n = 10 input-driven density model of the external-series recipe, which is
+fed the recipe's standardized series and stores no link, as task2 runs it.
+Each is built from its recipe's config at seed 7. ms per step per trial and
+us per link show how far K blocks in one set of arrays amortise the
+per-call overhead of a lattice. Each row also gives the bytes of u and k
+that a trial of the recipe stores (tasks._trial_bytes), per trial and for
+K trials, which the tasks hold within tasks._BATCH_BYTES. Each recipe's
+unions are timed round-robin, one round of each K in turn, so
 a drift of the host's speed reaches every K alike; K = 1 runs twice per
 round, and each row's ratio is the median and quartiles over rounds of its
 ms per trial-step over that of the first K = 1 union in the same round. The
@@ -61,6 +64,7 @@ peak RSS in MB.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -74,16 +78,17 @@ import numpy as np
 
 import trafficrc
 from trafficrc import tasks
-from trafficrc.io import config_from_dict, load_config
+from trafficrc.io import config_from_dict, read_config_dict
 from trafficrc.lattice import build_lattice
 
 
-def trial_union(model, n, k=1, pkg=trafficrc):
-    """Trials 0 .. k-1 of the model's default config at seed 7 on an n x n
-    lattice, as one union sim of the trafficrc package pkg."""
-    cfg = pkg.io.config_from_dict({"model": model, "n": n, "seed": 7})
+def trial_union(keys, k=1, pkg=trafficrc, driven=False):
+    """Trials 0 .. k-1 at seed 7 of the config `keys` (a dict; any other key
+    at its default), as one union sim of the trafficrc package pkg; a driven
+    union draws its blocks' input weights."""
+    cfg = pkg.io.config_from_dict({**keys, "seed": 7})
     return pkg.tasks._union(cfg, pkg.lattice.build_lattice(cfg.n, cfg.link_length),
-                            range(k))
+                            range(k), driven)
 
 
 AGAINST = "trafficrc_against"
@@ -107,7 +112,8 @@ def load_tree(root):
 
 
 UNION_RECIPES = {"agents": "agents_road_subset.json",
-                 "density": "density_link_p_sweep.json"}
+                 "density": "density_link_p_sweep.json",
+                 "series": "external_series_horizon.json"}
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 ROUNDS = 20
 
@@ -119,18 +125,18 @@ def summary(values):
             "mean": round(float(np.mean(values)), 4)}
 
 
-def time_round_robin(sims, steps, warmup):
+def time_round_robin(sims, steps, warmup, inputs=None, links=None):
     """ms per step of each sim, shape (sims, ROUNDS): ROUNDS rounds of
     run(steps / ROUNDS), the sims taking turns within each round, starting
-    one sim later each round."""
+    one sim later each round. Each run is given inputs and links."""
     for sim in sims:
-        sim.run(warmup)
+        sim.run(warmup, inputs, links)
     per = max(1, steps // ROUNDS)
     ms = np.empty((len(sims), ROUNDS))
     for r in range(ROUNDS):
         for i in np.roll(np.arange(len(sims)), -r).tolist():
             start = time.perf_counter()
-            sims[i].run(per)
+            sims[i].run(per, inputs, links)
             ms[i, r] = (time.perf_counter() - start) * 1e3 / per
     return ms
 
@@ -143,35 +149,48 @@ def against(ms):
             "parent_vs_parent": summary(ms[2] / ms[1])}
 
 
-def trio(model, n, k, parent):
+def trio(keys, k, parent, driven=False):
     """The change's union and, given a parent package, two of the parent's."""
-    sims = [trial_union(model, n, k)]
+    sims = [trial_union(keys, k, driven=driven)]
     if parent is not None:
-        sims += [trial_union(model, n, k, parent) for _ in range(2)]
+        sims += [trial_union(keys, k, parent, driven) for _ in range(2)]
     return sims
 
 
-def recipe_trial_bytes(model):
-    """(n, bytes of u and k a trial of the model's recipe stores)."""
-    cfg = load_config(CONFIGS / UNION_RECIPES[model])
-    _, links, _ = tasks._plan(cfg, build_lattice(cfg.n, cfg.link_length))
-    return cfg.n, tasks._trial_bytes(cfg, tasks._span(cfg)[0], links)
+def recipe(name, steps):
+    """(config keys, inputs, links, bytes of u and k a trial stores) of the
+    recipe `name`. A driven recipe's runs get its task's input, its training
+    segment lengthened when `steps` outlast the span, and store its task's
+    links; the others get no input and store every link."""
+    keys = read_config_dict(CONFIGS / UNION_RECIPES[name])
+    cfg = config_from_dict(keys)
+    net = build_lattice(cfg.n, cfg.link_length)
+    span = tasks._span(cfg)[0]
+    inputs, links, _ = tasks._plan(cfg, net)
+    trial_bytes = tasks._trial_bytes(cfg, span, links)
+    if inputs is None:
+        return keys, None, None, trial_bytes
+    if steps > span:
+        cfg = dataclasses.replace(cfg, train=cfg.train + steps - span)
+        inputs = tasks._plan(cfg, net)[0]
+    return keys, inputs, links, trial_bytes
 
 
-def time_unions(model, ks, steps, warmup, parent=None):
+def time_unions(name, ks, steps, warmup, parent=None):
     """One row per K of ks (K = 1 first, the A/A control), timed round-robin
     with a reference K = 1 union; with a parent package, each K is also
     timed from the parent's tree twice (see against)."""
-    n, trial_bytes = recipe_trial_bytes(model)
-    groups = [trio(model, n, k, parent) for k in ks]
-    sims = [trial_union(model, n), *(sim for g in groups for sim in g)]
-    ms = time_round_robin(sims, steps, warmup)
+    keys, inputs, links, trial_bytes = recipe(name, warmup + max(steps, ROUNDS))
+    driven = inputs is not None
+    groups = [trio(keys, k, parent, driven) for k in ks]
+    sims = [trial_union(keys, driven=driven), *(sim for g in groups for sim in g)]
+    ms = time_round_robin(sims, steps, warmup, inputs, links)
     ref, ms = ms[0], ms[1:].reshape(len(ks), len(groups[0]), ROUNDS)
     rows = []
     for k, group, m in zip(ks, groups, ms):
         t = summary(m[0])
         sim = group[0]
-        rows.append({"n": n, "blocks": k, "links": sim.net.n_links,
+        rows.append({"n": keys["n"], "blocks": k, "links": sim.net.n_links,
                      "steps": steps, "ms_per_step": t,
                      "ms_per_trial_step": round(t["median"] / k, 4),
                      "us_per_link": round(t["median"] * 1e3 / sim.net.n_links, 3),
@@ -193,7 +212,7 @@ def time_writer(steps):
     trajectory: pinned to one CPU, then on every CPU this process may use.
     Returns {"cpus": k, "pinned": {...}, "unpinned": {...}}, each the median
     and quartiles over rounds."""
-    sim = trial_union("density", WRITE_N)
+    sim = trial_union({"model": "density", "n": WRITE_N})
     traj = sim.run(steps)
     allowed = os.sched_getaffinity(0)
     ms = {"pinned": [], "unpinned": []}
@@ -261,8 +280,9 @@ def main(argv=None):
     ap.add_argument("--density-n", type=_sizes, default=[5, 10, 20, 40],
                     help="lattice sizes for the density model")
     ap.add_argument("--union-k", type=_sizes, default=[1, 2, 4],
-                    help="block counts of the n=3 agents and n=5 density "
-                         "unions; K=1 always runs, as the A/A control")
+                    help="block counts of the n=3 agents, n=5 density and "
+                         "n=10 driven density unions; K=1 always runs, as "
+                         "the A/A control")
     ap.add_argument("--agents-steps", type=int, default=200,
                     help="timed reservoir steps per agents size")
     ap.add_argument("--density-steps", type=int, default=2000,
@@ -284,7 +304,8 @@ def main(argv=None):
                   f"{'q3':>6}" if parent else "")
 
     rows = {"agents": [], "density": [], "agents_union": [],
-            "density_union": [], "writer": [], "startup": []}
+            "density_union": [], "series_union": [], "writer": [],
+            "startup": []}
     if args.startup > 0:
         t = time_startup(args.startup)
         rows["startup"].append({"runs": args.startup, **t})
@@ -298,7 +319,7 @@ def main(argv=None):
     for model, sizes, steps in (("agents", args.agents_n, args.agents_steps),
                                 ("density", args.density_n, args.density_steps)):
         for n in sizes:
-            sims = trio(model, n, 1, parent)
+            sims = trio({"model": model, "n": n}, 1, parent)
             ms = time_round_robin(sims, steps, args.warmup)
             t = summary(ms[0])
             r = {"n": n, "links": sims[0].net.n_links, "steps": steps,
@@ -317,7 +338,8 @@ def main(argv=None):
         # K = 1 first: its row is the A/A control of every ratio
         ks = list(dict.fromkeys([1, *args.union_k]))
         for model, steps in (("agents", args.agents_steps),
-                             ("density", args.density_steps)):
+                             ("density", args.density_steps),
+                             ("series", args.density_steps)):
             for r in time_unions(model, ks, steps, args.warmup, parent):
                 rows[f"{model}_union"].append(r)
                 t, v = r["ms_per_step"], r["vs_k1"]

@@ -53,8 +53,9 @@ _WEIGHTS = ("3 finite weights >= 0 that sum to 1",
 
 
 # the lattice holds about 40 B per link, and each trial's turn table about
-# 100 B per link, drawn one link at a time: n = 1000 (about 4 million links)
-# holds about 0.6 GB and spends about 40 s on one table (4x n = 500's cost)
+# 100 B per link (275 B at the peak of its drawing): n = 1000 (about 4 million
+# links) holds about 0.6 GB, peaks near 1.1 GB and spends about 1.5 s on one
+# table (4x n = 500's: 0.36 s, and a 274 MB tracemalloc peak)
 _N_MAX = 1000
 # a run stores u, one row per step: a million steps of the 5x5 recipe hold
 # 200 MB of it, and each further key of the span adds as many
@@ -305,14 +306,17 @@ def read_series_csv(path):
     """Read a 1-column (value) or 2-column (timestamp, value) series CSV.
 
     Timestamps (numbers or ISO dates) must increase; only the values are
-    returned. A first row that parses as neither form is a header. Errors
-    cite 1-based row numbers. NaN or infinite values are rejected.
+    returned. A first row that parses as neither form and holds no digit is
+    a header; any other row that does not parse is refused, so a typo in the
+    first value is never dropped as a header. Errors cite 1-based row
+    numbers. NaN or infinite values are rejected.
     """
     with open(path) as fh:
         rows = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1) if ln]
     if not rows:
         raise ValueError(f"{path}: empty series file")
-    if _parse_row(rows[0][1]) is None:
+    first = rows[0][1]
+    if _parse_row(first) is None and set(first).isdisjoint("0123456789"):
         rows = rows[1:]  # header row
     times, values = [], []
     for rownum, line in rows:

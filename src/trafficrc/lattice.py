@@ -143,9 +143,10 @@ def assign_turn_table(net, w, rng=None, permute=True):
     rel = np.stack([(d + 1) % 4, (d + 3) % 4, d], axis=1)  # right, left, straight
     targets = net.out_by_dir[net.link_to[:, None], rel]
     have = targets >= 0
-    # one draw per link, in link order, as the STREAM_TURNS stream expects
-    perm = np.array([rng.permutation(3) for _ in range(net.n_links)],
-                    dtype=np.int64).reshape(-1, 3) if permute else np.arange(3)
+    # one shuffle per row, rows in link order: the draws of rng.permutation(3)
+    # called once per link, as the STREAM_TURNS stream expects
+    perm = (rng.permuted(np.tile(np.arange(3), (net.n_links, 1)), axis=1)
+            if permute else np.arange(3))
     # missing exits carry 0.0: adding it is exact, so each left-to-right sum
     # equals that of the present exits alone
     present = np.where(have, w[perm], 0.0)

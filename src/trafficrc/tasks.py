@@ -13,8 +13,8 @@ Three tasks are implemented:
 Trials are paired through per-purpose rng streams derived from
 (seed, trial, stream id), so every value of a parameter sweep sees the same
 random networks, initial states, and phases. Each experiment is a reservoir
-run (_simulate) followed by a task readout of its trajectory; small
-lattices run a batch of trials as one disjoint-union simulation.
+run (_simulate) followed by a task readout of its trajectory; the trials
+run in batches, each one disjoint-union simulation within a byte budget.
 """
 
 from __future__ import annotations
@@ -153,14 +153,15 @@ def lag_diagnostic(y, y_hat, max_lag):
 
 
 # A union of K trials keeps K * _trial_bytes alive from its run through the
-# trials' readouts: at most _BATCH_BYTES, so two trials of the 5x5 density
-# recipe (1.3 MB each) or of the 3x3 agents recipe (1.3 MB; 1.6 MB at the
-# default span) share a union, and longer runs share less. A union also
-# holds at most _UNION_LINKS links: it saves the per-step call overhead, which
-# is most of a small lattice's step (n=5: 12.3 -> 7.8 us per trial-step from
-# K=1 to 2), so a 10x10 lattice (360 links) runs one trial at a time.
-_BATCH_BYTES = 3_500_000
-_UNION_LINKS = 160
+# trials' readouts, and K is the most trials within _BATCH_BYTES: all ten of
+# the 3x3 agents recipe (1.35 MB each), 11 of the 5x5 density recipe
+# (1.27 MB) and 3 of the 10x10 external-series recipe (4.57 MB). A union pays
+# on each of those lattices (a trial-step costs 0.47, 0.31 and 0.71 of its
+# K=1 cost at K = 10, 10 and 3), so memory is the only limit. Measured on
+# 2 cores, the budget raises the recipe sweeps' peak RSS by 5-16 MB (c5
+# 61.9 -> 67.2 MB, c3 56.7 -> 68.2 MB, c6 62.8 -> 78.6 MB) and cuts their
+# wall time by 20-35%.
+_BATCH_BYTES = 14_000_000
 
 
 def _trial_bytes(cfg, steps, links):
@@ -172,8 +173,7 @@ def _trial_bytes(cfg, steps, links):
 def _batches(cfg, steps, links):
     """Trials in order, cut into the batches that _simulate runs together,
     yielded one at a time; runs are `steps` long and store `links`."""
-    size = max(1, min(cfg.trials, _BATCH_BYTES // _trial_bytes(cfg, steps, links),
-                      _UNION_LINKS // max(cfg.n_links, 1)))
+    size = max(1, min(cfg.trials, _BATCH_BYTES // _trial_bytes(cfg, steps, links)))
     for b in range(0, cfg.trials, size):
         yield range(b, min(b + size, cfg.trials))
 

@@ -28,10 +28,10 @@ def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
                  "--warmup", "5", "--startup", "2", "--json", str(out)])
     rows = json.loads(out.read_text())
     assert {"env", "agents", "density", "agents_union", "density_union",
-            "startup"} <= rows.keys()
+            "series_union", "startup"} <= rows.keys()
     assert [r["n"] for r in rows["agents"]] == [3]
     assert [r["n"] for r in rows["density"]] == [5]
-    for key in ("agents_union", "density_union"):
+    for key in ("agents_union", "density_union", "series_union"):
         assert [r["blocks"] for r in rows[key]] == [1, 2]
         aa, two = rows[key]
         # K=1 runs twice per round: its row is the A/A control of the ratios
@@ -42,6 +42,11 @@ def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
         assert two["stored_bytes"] == 2 * two["stored_bytes_per_trial"]
     # the density recipe's trial stores 6105 steps of 25 junctions and 1 link
     assert rows["density_union"][0]["stored_bytes_per_trial"] == 8 * 6105 * 26
+    # the external-series recipe's n = 10 trial: 5710 steps of 100 junctions
+    # and no link
+    assert [r["n"] for r in rows["series_union"]] == [10, 10]
+    assert rows["series_union"][1]["links"] == 2 * 360
+    assert rows["series_union"][0]["stored_bytes_per_trial"] == 8 * 5710 * 100
     assert rows["density"][0]["ms_per_step"]["median"] > 0
     startup, = rows["startup"]
     assert startup["runs"] == 2
@@ -66,8 +71,8 @@ def test_bench_kernels_against_a_second_tree(tmp_path, capsys):
     assert parent.tasks is not module.tasks
     rows = json.loads(out.read_text())
     per_n = rows["agents"] + rows["density"]
-    unions = rows["agents_union"] + rows["density_union"]
-    assert [r["blocks"] for r in unions] == [1, 2, 1, 2]
+    unions = rows["agents_union"] + rows["density_union"] + rows["series_union"]
+    assert [r["blocks"] for r in unions] == [1, 2] * 3
     for r in per_n + unions:
         vs = r["against"]
         assert vs["parent_ms_per_step"]["median"] > 0

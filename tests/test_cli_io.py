@@ -363,6 +363,16 @@ def test_read_errors_cite_rows(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("text", ["1.5x\n2.0\n3.0\n", "t1,value\n0,1.0\n1,2.0\n",
+                                  "0,1.0x\n1,2.0\n"])
+def test_a_first_row_with_a_digit_is_data_not_a_header(tmp_path, text):
+    # a typo in the first value must not drop it silently as a header
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="row 1: cannot parse series entry"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("text", ["2,3.0\n1.5\n", "1.5\n2,3.0\n5,4.0\n"])
 def test_read_refuses_mixed_rows_in_either_order(tmp_path, text):
     path = tmp_path / "s.csv"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficrc.lattice import (E, N, S, W, TurnTable, assign_turn_table,
@@ -245,10 +245,13 @@ def turn_table_oracle(net, w, rng=None, permute=True):
 _weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
 
 
+# n = 40 (6240 links): one batched draw stands for thousands of per-link ones
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 7), raw=st.lists(_weight, min_size=3, max_size=3)
+@given(n=st.sampled_from([*range(1, 8), 40]),
+       raw=st.lists(_weight, min_size=3, max_size=3)
        .filter(lambda v: sum(v) > 0), permute=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
+@example(n=40, raw=[0.2, 0.3, 0.5], permute=True, seed=12345)
 def test_turn_table_matches_the_per_link_oracle(n, raw, permute, seed):
     net = build_lattice(n)
     w = np.asarray(raw) / sum(raw)

@@ -111,7 +111,7 @@ _SMALL_SERIES = dict(model="density", task="external_series", n=3, T=2,
                      washout=20, train=150, test=60, trials=3, seed=9)
 _SMALL = {"density": _SMALL_DENSITY, "agents": _SMALL_AGENTS, "series": _SMALL_SERIES}
 # simulations per trial loop: the trials of each small config share one union
-# (at most 72 links, and a few KB of stored u and k per trial)
+# (a few KB of stored u and k per trial)
 _RUNS = {"density": 1, "agents": 1, "series": 1}
 
 
@@ -373,10 +373,11 @@ def test_task2_horizon_sweep_simulates_each_value(sim_runs):
 
 def test_agents_batches_match_solo_trials_with_a_partial_last_batch(
         sim_runs, monkeypatch):
-    # n=2 has 8 links, so a 48-link union holds 6 trials: batches of 6 and 1
-    monkeypatch.setattr(tasks, "_UNION_LINKS", 48)
+    # a budget of six trials' bytes: batches of 6 and 1
     cfg = config_from_dict(dict(_SMALL_AGENTS, trials=7))
     span = cfg.washout + cfg.T + cfg.train + cfg.test
+    monkeypatch.setattr(tasks, "_BATCH_BYTES",
+                        6 * tasks._trial_bytes(cfg, span, None))
     batched = run_experiment(cfg)
     swept = sweep(cfg, "M", [3, 5])
     assert sim_runs == [span] * 4
@@ -402,13 +403,44 @@ def _batch_sizes(cfg):
 
 def test_batches_keep_the_recipes_unions_within_the_byte_budget():
     c3 = load_config(_CONFIGS / "density_link_p_sweep.json")
-    assert _batch_sizes(c3) == [2] * 10
+    assert _batch_sizes(c3) == [11, 9]
     c5 = load_config(_CONFIGS / "agents_road_subset.json")
-    assert _batch_sizes(c5) == [2] * 5
+    assert _batch_sizes(c5) == [10]
+    c6 = load_config(_CONFIGS / "external_series_horizon.json")
+    assert _batch_sizes(c6) == [3] * 6 + [2]
+    # the longest span of c6's T sweep (T = 20) keeps its unions of 3
+    assert _batch_sizes(dataclasses.replace(c6, T=20)) == [3] * 6 + [2]
     assert _batch_sizes(dataclasses.replace(c3, n=40, trials=3)) == [1] * 3
     # a batch is made only when it is due: no list of every batch
     batches = tasks._batches(dataclasses.replace(c3, trials=10 ** 20), 6105, [0])
-    assert next(batches) == range(2)
+    assert next(batches) == range(11)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(self, go):
+    raise _Stop
+
+
+def test_the_agents_recipes_m_sweep_simulates_once(sim_runs, monkeypatch):
+    # the first run holds every trial at the sweep's span, so it is the only
+    # one; it stops at its first step (the whole sweep takes about 15 s)
+    unions = []
+    union = tasks._union
+
+    def spy(cfg, net, trials, driven=False):
+        unions.append(list(trials))
+        return union(cfg, net, trials, driven)
+
+    monkeypatch.setattr(tasks, "_union", spy)
+    monkeypatch.setattr(AgentSim, "step", _stop)
+    c5 = load_config(_CONFIGS / "agents_road_subset.json")
+    with pytest.raises(_Stop):
+        sweep(c5, "M", [8, 14, 20])
+    assert sim_runs == [tasks._span(c5)[0]]
+    assert unions == [list(range(c5.trials))]
 
 
 @pytest.mark.parametrize("kind,param,values,key", [
