@@ -212,8 +212,9 @@ def time_writer(steps):
     trajectory: pinned to one CPU, then on every CPU this process may use.
     Returns {"cpus": k, "pinned": {...}, "unpinned": {...}}, each the median
     and quartiles over rounds."""
-    sim = trial_union({"model": "density", "n": WRITE_N})
-    traj = sim.run(steps)
+    traj = trial_union({"model": "density", "n": WRITE_N}).run(steps)
+    # the header names each link by its junctions, which only the lattice holds
+    net = build_lattice(WRITE_N)
     allowed = os.sched_getaffinity(0)
     ms = {"pinned": [], "unpinned": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -224,7 +225,7 @@ def time_writer(steps):
                     os.sched_setaffinity(0, {min(allowed)})
                 try:
                     start = time.perf_counter()
-                    traj.write_csv(path, sim.net)
+                    traj.write_csv(path, net)
                     ms[kind].append((time.perf_counter() - start) * 1e3 / steps)
                 finally:
                     os.sched_setaffinity(0, allowed)

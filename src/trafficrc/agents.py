@@ -130,46 +130,30 @@ class AgentSim(_Reservoir):
     blocked at the line when the target link has no room at its upstream
     end.
 
-    The blocks of a union (see _Reservoir.union) each keep their own agents
-    and rng.
+    Each block (see _Reservoir) keeps its own agents, states[b] on the
+    lattice's links, and its own rng, rngs[b]; blocks never exchange agents.
     """
 
-    def __init__(self, net, table, bank, state, params, rng):
-        # the block index reads the agents, so they come first
-        self.state = state
+    def __init__(self, net, tables, banks, states, params, rngs):
+        super().__init__(net, tables, banks)
+        if len(states) != self.blocks or len(rngs) != self.blocks:
+            raise ValueError("a sim needs one agent state and one rng per block")
+        offs = self._link_off
+        self.state = AgentState(
+            np.concatenate([st.link + o for st, o in zip(states, offs)]),
+            np.concatenate([st.x for st in states]),
+            np.concatenate([st.v for st in states]),
+            np.concatenate([st.next_link + o for st, o in zip(states, offs)]))
         self.params = params
-        self.rngs = [rng]
-        self.min_gaps = np.full(1, math.inf)
-        super().__init__(net, table, bank)
-        self._sampler = _TurnSampler(table)
+        self.rngs = list(rngs)
+        self._block_links = net.n_links
+        self.min_gaps = np.full(self.blocks, math.inf)
+        self._sampler = _TurnSampler(self.table)
         self._tanh_c = math.tanh(params.c / params.w)
-
-    @classmethod
-    def _joined(cls, sims, net, table, bank, lo):
-        """The union's sim: blocks never exchange agents, transfers stay
-        lowest link id first and turn draws take the rng of the target
-        link's block. The sims must share params; their rngs are shared."""
-        first = sims[0]
-        if any(s.params != first.params for s in sims):
-            raise ValueError("union blocks must share params")
-        sts = [s.state for s in sims]
-        state = AgentState(
-            np.concatenate([st.link + o for st, o in zip(sts, lo)]),
-            np.concatenate([st.x for st in sts]),
-            np.concatenate([st.v for st in sts]),
-            np.concatenate([st.next_link + o for st, o in zip(sts, lo)]))
-        sim = cls(net, table, bank, state, first.params, None)
-        sim.rngs = [r for s in sims for r in s.rngs]
-        sim.min_gaps = np.concatenate([s.min_gaps for s in sims])
-        return sim
-
-    def _index_blocks(self, links, junctions):
-        super()._index_blocks(links, junctions)
-        self._block_of_link = np.repeat(np.arange(len(links)), links).tolist()
         # a block's agents stay on its links, so its agent slice is fixed;
         # min_gap reduces over the slices of the blocks that have agents
-        agent_off = self.state.link.searchsorted(self._link_off)
-        self._link_ids = np.arange(self._link_off[-1] + 1)
+        agent_off = self.state.link.searchsorted(offs)
+        self._link_ids = np.arange(offs[-1] + 1)
         self._gap_of = np.flatnonzero(np.diff(agent_off))
         self._gap_at = agent_off[self._gap_of]
 
@@ -252,8 +236,9 @@ class AgentSim(_Reservoir):
         sorted agents. A crosser enters the front of its target segment at
         the overshoot, clamped d_min behind the target's rear agent, and is
         blocked at the line when that rear agent is within d_min of the
-        entry. The blocks of a union share the heap; restricted to one block
-        it pops that block's links in the same ascending order.
+        entry. The blocks share the heap; restricted to one block it pops
+        that block's links in the same ascending order, and a turn draw takes
+        the rng of the target link's block.
         """
         st = self.state
         lens = self.net.length
@@ -285,7 +270,7 @@ class AgentSim(_Reservoir):
                 pos = min(overshoot, rear - d_min)
             follower_crosses = i > s0 and xs[i - 1] > lens[src]
             v = vs[i]
-            turn = self._sampler.draw(tgt, self.rngs[self._block_of_link[tgt]])
+            turn = self._sampler.draw(tgt, self.rngs[tgt // self._block_links])
             # ties keep the order of a stable sort by (link, x): the mover
             # goes before equal positions when it comes from a lower link,
             # after them when it comes from a higher one

@@ -178,7 +178,8 @@ _RECORD_BYTES = 1 << 18
 
 
 class _UnionNet(NamedTuple):
-    """The parts of a network that a step reads, for networks side by side."""
+    """The parts of a network that a step reads, for the blocks of one
+    lattice side by side."""
     n_links: int
     n_junctions: int
     link_to: np.ndarray
@@ -190,68 +191,39 @@ class _Reservoir:
     """A traffic model whose signal phases are read out through its traffic.
 
     A model defines step(go), which advances one reservoir step under the
-    per-link go mask and returns the link densities it started from, and
-    _joined(sims, net, table, bank, link_offsets), which builds a union's
-    sim from the joined network, turn table and phases. Runs, unions and
-    their split are shared.
+    per-link go mask and returns the link densities it started from. Runs
+    and their split are shared.
 
-    A sim holds one or more blocks (see union): independent networks, each
-    with its own turn table, phases and traffic, stepped in one set of
-    arrays. A sim built from one network is a single block.
+    A sim holds K = len(tables) blocks of one lattice net side by side: block
+    b's link and junction ids follow those of blocks 0..b-1, with its own turn
+    table (ids offset), phases (PhaseBank.concat) and traffic, all stepped in
+    one set of arrays. Every update is elementwise or a bincount scatter,
+    which adds the entries of a bin in input order, so every block steps bit
+    for bit as a sim of that block alone would.
     """
 
-    def __init__(self, net, table, bank):
-        if bank.n_junctions != net.n_junctions:
-            raise ValueError("phase bank size does not match the network")
-        if table.n_links != net.n_links:
-            raise ValueError("turn table size does not match the network")
-        self.net = net
-        self.table = table
-        self.bank = bank
+    def __init__(self, net, tables, banks):
+        if len(banks) != len(tables):
+            raise ValueError("a sim needs one phase bank per turn table")
+        for table, bank in zip(tables, banks):
+            if bank.n_junctions != net.n_junctions:
+                raise ValueError("phase bank size does not match the network")
+            if table.n_links != net.n_links:
+                raise ValueError("turn table size does not match the network")
+        self.blocks = k = len(tables)
+        nl, nj = net.n_links, net.n_junctions
+        self._link_off = nl * np.arange(k + 1)
+        self._junction_off = nj * np.arange(k + 1)
+        self.net = _UnionNet(
+            k * nl, k * nj,
+            (net.link_to + self._junction_off[:-1, None]).ravel(),
+            np.tile(net.length, k), np.tile(net.link_axis_ns, k))
+        self.table = TurnTable(
+            np.concatenate([t.src + o for t, o in zip(tables, self._link_off)]),
+            np.concatenate([t.to + o for t, o in zip(tables, self._link_off)]),
+            np.concatenate([t.wgt for t in tables]), k * nl)
+        self.bank = PhaseBank.concat(banks)
         self.t = 0
-        self._index_blocks([net.n_links], [net.n_junctions])
-
-    def _index_blocks(self, links, junctions):
-        """Block offsets from the per-block link and junction counts."""
-        self._link_off = np.cumsum(np.r_[0, links])
-        self._junction_off = np.cumsum(np.r_[0, junctions])
-
-    @property
-    def blocks(self):
-        return self._link_off.size - 1
-
-    @classmethod
-    def union(cls, sims):
-        """One sim that steps the blocks of `sims` side by side.
-
-        Block ids run in the order of `sims`, and each block's link and
-        junction ids follow those of the blocks before it, with its own turn
-        table (ids offset) and phases (PhaseBank.concat). Every update is
-        elementwise or a bincount scatter, which adds the entries of a bin
-        in input order, so every block steps bit for bit as its own sim
-        would. The sims must share their time; they are not advanced
-        themselves.
-        """
-        first = sims[0]
-        if any(s.t != first.t for s in sims):
-            raise ValueError("union blocks must share their time")
-        lo = np.cumsum([0] + [s.net.n_links for s in sims])
-        jo = np.cumsum([0] + [s.net.n_junctions for s in sims])
-        net = _UnionNet(
-            int(lo[-1]), int(jo[-1]),
-            np.concatenate([s.net.link_to + j for s, j in zip(sims, jo)]),
-            np.concatenate([s.net.length for s in sims]),
-            np.concatenate([s.net.link_axis_ns for s in sims]))
-        table = TurnTable(
-            np.concatenate([s.table.src + o for s, o in zip(sims, lo)]),
-            np.concatenate([s.table.to + o for s, o in zip(sims, lo)]),
-            np.concatenate([s.table.wgt for s in sims]), lo[-1])
-        sim = cls._joined(sims, net, table,
-                          PhaseBank.concat([s.bank for s in sims]), lo)
-        sim.t = first.t
-        sim._index_blocks(np.concatenate([np.diff(s._link_off) for s in sims]),
-                          np.concatenate([np.diff(s._junction_off) for s in sims]))
-        return sim
 
     def run(self, steps, inputs=None, links=None):
         """Run `steps` steps and record them; inputs[t] (if given) is
@@ -321,23 +293,21 @@ class DensitySim(_Reservoir):
     Per step, each link whose axis shows go at its destination junction
     discharges o = min(Q/L, Q), split over that junction's outgoing links by
     the turn table; gated links hold their content. The system is closed, so
-    the total content is invariant.
+    the total content is invariant. q0s holds each block's link contents.
     """
 
-    def __init__(self, net, table, bank, q0):
-        super().__init__(net, table, bank)
-        q0 = np.asarray(q0, dtype=float)
-        if q0.shape != (net.n_links,):
-            raise ValueError("q0 must hold one value per link")
-        if np.any(q0 < 0) or not np.all(np.isfinite(q0)):
+    def __init__(self, net, tables, banks, q0s):
+        super().__init__(net, tables, banks)
+        q0s = [np.asarray(q0, dtype=float) for q0 in q0s]
+        if len(q0s) != self.blocks or any(q0.shape != (net.n_links,)
+                                          for q0 in q0s):
+            raise ValueError("q0 must hold one value per link, in each block")
+        q = np.concatenate(q0s)
+        if np.any(q < 0) or not np.all(np.isfinite(q)):
             raise ValueError("link contents must be finite and nonnegative")
-        self.q = q0.copy()
-        self._inv_len = 1.0 / net.length
+        self.q = q
+        self._inv_len = 1.0 / self.net.length
         self._rate = np.minimum(self._inv_len, 1.0)  # outflow <= content
-
-    @classmethod
-    def _joined(cls, sims, net, table, bank, lo):
-        return cls(net, table, bank, np.concatenate([s.q for s in sims]))
 
     def step(self, go):
         """Advance one step under the per-link gate go; returns the link

@@ -179,27 +179,23 @@ def _batches(cfg, steps, links):
 
 
 def _union(cfg, net, trials, driven=False):
-    """The trials' reservoirs on the lattice net, each built from its rng
-    streams (turn table, phase bank, initial state), as the blocks of one
-    union sim. A driven bank draws input weights from its input stream. The
-    readout fields (p, M, beta) play no part."""
-    sims = []
-    for trial in trials:
-        table = assign_turn_table(net, cfg.turn_weights,
-                                  stream_rng(cfg.seed, trial, STREAM_TURNS))
-        rng_input = stream_rng(cfg.seed, trial, STREAM_INPUT) if driven else None
-        bank = _phase_bank(cfg, stream_rng(cfg.seed, trial, STREAM_PHASE),
-                           rng_input)
-        if cfg.model == "agents":
-            rng_agents = stream_rng(cfg.seed, trial, STREAM_AGENTS)
-            state = init_agents(net, table, rng_agents,
-                                per_link=cfg.agents_per_link, params=cfg.ov)
-            sims.append(AgentSim(net, table, bank, state, cfg.ov, rng_agents))
-        else:
-            q0 = init_density(net, cfg.total_vehicles,
-                              stream_rng(cfg.seed, trial, STREAM_INIT))
-            sims.append(DensitySim(net, table, bank, q0))
-    return type(sims[0]).union(sims)
+    """The trials' reservoirs as the blocks of one sim on the lattice net,
+    each built from its rng streams (turn table, phase bank, initial state).
+    A driven bank draws input weights from its input stream. The readout
+    fields (p, M, beta) play no part."""
+    tables = [assign_turn_table(net, cfg.turn_weights,
+                                stream_rng(cfg.seed, t, STREAM_TURNS)) for t in trials]
+    banks = [_phase_bank(cfg, stream_rng(cfg.seed, t, STREAM_PHASE),
+                         stream_rng(cfg.seed, t, STREAM_INPUT) if driven else None)
+             for t in trials]
+    if cfg.model == "agents":
+        rngs = [stream_rng(cfg.seed, t, STREAM_AGENTS) for t in trials]
+        states = [init_agents(net, table, rng, per_link=cfg.agents_per_link,
+                              params=cfg.ov) for table, rng in zip(tables, rngs)]
+        return AgentSim(net, tables, banks, states, cfg.ov, rngs)
+    q0s = [init_density(net, cfg.total_vehicles, stream_rng(cfg.seed, t, STREAM_INIT))
+           for t in trials]
+    return DensitySim(net, tables, banks, q0s)
 
 
 def _simulate(cfg, net, trials, steps, inputs=None, links=None):
@@ -338,6 +334,10 @@ def _plan(cfg, net):
         inputs = np.concatenate([np.zeros(cfg.T), z[:steps - cfg.T]])
         return inputs, [], functools.partial(_read_series, cfg, y, z)
     if cfg.model == "agents":
+        if cfg.agents_per_link == 0:
+            raise _io.ConfigError(
+                "config key 'agents_per_link': the prediction task needs "
+                "agents; with none every road stays empty")
         if cfg.M > cfg.n_links:
             raise _io.ConfigError(
                 f"config key 'M': at most {cfg.n_links} roads on an n={cfg.n} grid")

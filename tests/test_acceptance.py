@@ -15,7 +15,6 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from trafficrc.agents import AgentSim, OVParams, init_agents
@@ -47,18 +46,6 @@ def _raises(exc, fn, *args, **kwargs):
     return False
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # pay any one-time JIT compilation outside the timed budgets below
-    net = build_lattice(2)
-    rng = np.random.default_rng(0)
-    table = assign_turn_table(net, EVEN, rng)
-    bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
-    DensitySim(net, table, bank, init_density(net, 8.0, rng)).run(5)
-    state = init_agents(net, table, rng, per_link=2)
-    AgentSim(net, table, bank.copy(), state, OVParams(), rng).run(5)
-
-
 def test_c1_density_mass_conservation():
     start = time.perf_counter()
     worst = 0.0
@@ -68,7 +55,7 @@ def test_c1_density_mass_conservation():
         table = assign_turn_table(net, EVEN, rng)
         bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
         q0 = init_density(net, float(net.n_links), rng)
-        traj = DensitySim(net, table, bank, q0).run(10_000)
+        traj = DensitySim(net, [table], [bank], [q0]).run(10_000)
         totals = traj.k @ net.length
         worst = max(worst, np.abs(totals - q0.sum()).max() / q0.sum())
     elapsed = time.perf_counter() - start
@@ -183,7 +170,7 @@ def test_c7_invariants(tmp_path):
     bank = PhaseBank(100.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
     params = OVParams()
     state = init_agents(net, table, rng, per_link=10, params=params)
-    sim = AgentSim(net, table, bank, state, params, rng)
+    sim = AgentSim(net, [table], [bank], [state], params, [rng])
     n0 = sim.state.count
     sim.run(10_000)          # 10 substeps each: 1e5 integration substeps
     parts.append(("agents", sim.min_gap >= params.d_min - 1e-9

@@ -148,7 +148,7 @@ def test_link_densities_are_counts_over_length():
     counts = rng.integers(0, 8, net.n_links)
     st = init_agents(net, table, rng, per_link=counts)
     bank = PhaseBank(30.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
-    sim = AgentSim(net, table, bank, st, OVParams(), rng)
+    sim = AgentSim(net, [table], [bank], [st], OVParams(), [rng])
     # step returns the densities its agents had before it moved them
     k = sim.step(np.ones(net.n_links, dtype=bool))
     assert np.array_equal(k, counts / 20.0)
@@ -326,7 +326,7 @@ def test_red_light_queue_matches_oracle():
     # enormous tau freezes the phases; NS axis stays stopped (default rule)
     bank = PhaseBank(1e12, np.full(4, 0.5))
     assert not link_go(bank.theta, net)[north]
-    sim = AgentSim(net, table, bank, st, p, rng)
+    sim = AgentSim(net, [table], [bank], [st], p, [rng])
     steps = 50
     sim.run(steps)
     x_ref, v_ref = red_queue_oracle(x0, v0, 20.0, p, steps * p.substeps)
@@ -384,7 +384,7 @@ def test_uniform_ring_flow_is_a_fixed_point():
     p = OVParams()
     v_star = float(ov_velocity(spacing, p))
     st = AgentState(link, x, np.full(link.size, v_star), nxt)
-    sim = AgentSim(net, table, bank, st, p, np.random.default_rng(5))
+    sim = AgentSim(net, [table], [bank], [st], p, [np.random.default_rng(5)])
     sim.run(20)
     st = sim.state
     assert st.count == 4 * per_link
@@ -408,7 +408,7 @@ def test_transfer_into_empty_link_keeps_velocity():
     l0, l1 = ring[0], ring[1]
     st = AgentState(np.array([l0]), np.array([19.5]), np.array([2.0]),
                     np.array([l1]))
-    sim = AgentSim(net, table, bank, st, p, np.random.default_rng(6))
+    sim = AgentSim(net, [table], [bank], [st], p, [np.random.default_rng(6)])
     sim.run(1)
     st = sim.state
     assert st.link[0] == l1
@@ -426,7 +426,7 @@ def test_transfer_blocked_when_target_entry_is_full():
     v = np.array([2.0, 0.0, 0.0])
     nxt = np.array([l1, l2, l2], dtype=np.int64)
     st = AgentState(link, x, v, nxt)
-    sim = AgentSim(net, table, bank, st, p, np.random.default_rng(7))
+    sim = AgentSim(net, [table], [bank], [st], p, [np.random.default_rng(7)])
     sim.run(1)
     st = sim.state
     stuck = np.flatnonzero(st.link == l0)
@@ -443,7 +443,7 @@ def test_transfer_clamps_to_rear_gap():
                     np.array([19.5, 0.5]),
                     np.array([2.0, 0.0]),
                     np.array([l1, l2], dtype=np.int64))
-    sim = AgentSim(net, table, bank, st, p, np.random.default_rng(8))
+    sim = AgentSim(net, [table], [bank], [st], p, [np.random.default_rng(8)])
     sim.run(1)
     st = sim.state
     assert np.all(st.link == l1)
@@ -505,8 +505,8 @@ def run_both(net, table, bank, state, params, seed, steps):
     """Run AgentSim and the re-sort reference from the same start."""
     out = []
     for cls in (AgentSim, ResortTransfersSim):
-        sim = cls(net, table, copy.deepcopy(bank), state.copy(), params,
-                  np.random.default_rng(seed))
+        sim = cls(net, [table], [copy.deepcopy(bank)], [state.copy()], params,
+                  [np.random.default_rng(seed)])
         out.append((sim, sim.run(steps)))
     return out
 
@@ -543,21 +543,35 @@ def test_transfers_match_full_resort_on_random_lattices(seed, n, d_min, dt):
     assert runs[0][0].state.count == counts.sum()
 
 
-# --- disjoint unions of blocks vs solo runs ----------------------------------
+# --- blocks of one sim vs solo runs ------------------------------------------
 
-def random_block(rng, n, params, empty=False):
-    """Network, turn table, phase bank (per-junction tau) and agents of one
-    random block."""
-    n_links = 4 * n * (n - 1)
-    lengths = rng.uniform(3.0, 20.0, n_links)
-    cap = np.floor(lengths / max(params.d_min, 0.2)).astype(int) - 1
-    counts = np.minimum(rng.integers(0, 16, n_links), cap) * (not empty)
-    net = build_lattice(n, lengths)
+def random_lattice(rng, n):
+    """An n x n lattice with random link lengths."""
+    return build_lattice(n, rng.uniform(3.0, 20.0, 4 * n * (n - 1)))
+
+
+def random_block(rng, net, params, fill="random"):
+    """Turn table, phase bank (per-junction tau) and agents of one random
+    block of net. Its links hold random counts of agents ("random"), as many
+    as their length takes ("full", so entries get blocked when d_min > 0),
+    or none ("empty")."""
+    cap = np.floor(net.length / max(params.d_min, 0.2)).astype(int) - 1
+    if fill == "random":
+        counts = np.minimum(rng.integers(0, 16, net.n_links), cap)
+    else:
+        counts = cap * (fill == "full")
     table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
     nj = net.n_junctions
     bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj))
     state = init_agents(net, table, rng, per_link=counts, params=params)
-    return net, table, bank, state
+    return table, bank, state
+
+
+def block_sim(net, blocks, params, seed, first=0, cls=AgentSim):
+    """One sim of the blocks, side by side, which copies their parts; block b
+    draws its turns from (seed, first + b)."""
+    rngs = [np.random.default_rng((seed, first + b)) for b in range(len(blocks))]
+    return cls(net, *zip(*blocks), params, rngs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -568,16 +582,12 @@ def random_block(rng, n, params, empty=False):
 def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, empty):
     rng = np.random.default_rng(seed)
     p = OVParams(dt=dt, d_min=d_min)
-    blocks = [random_block(rng, n, p, empty=b == empty) for b in range(k)]
-
-    def sims():
-        return [AgentSim(net, table, copy.deepcopy(bank), state.copy(), p,
-                         np.random.default_rng((seed, b)))
-                for b, (net, table, bank, state) in enumerate(blocks)]
-
-    solo = sims()
+    net = random_lattice(rng, n)
+    blocks = [random_block(rng, net, p, "empty" if b == empty else "random")
+              for b in range(k)]
+    solo = [block_sim(net, [block], p, seed, b) for b, block in enumerate(blocks)]
     solo_trajs = [sim.run(40) for sim in solo]
-    union = AgentSim.union(sims())
+    union = block_sim(net, blocks, p, seed)
     trajs = union.split(union.run(40))
     assert union.blocks == len(trajs) == k
     for b, (sim, ref) in enumerate(zip(solo, solo_trajs)):
@@ -585,9 +595,9 @@ def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, empty):
             got, want = getattr(trajs[b], name), getattr(ref, name)
             assert got.flags.c_contiguous and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-        # block b holds links [b * n_links, (b + 1) * n_links) of the union
-        offset = b * sim.net.n_links
-        mine = union.state.link // sim.net.n_links == b
+        # block b holds links [b * n_links, (b + 1) * n_links) of the sim
+        offset = b * net.n_links
+        mine = union.state.link // net.n_links == b
         for name in ("link", "x", "v", "next_link"):
             got, want = getattr(union.state, name)[mine], getattr(sim.state, name)
             if name in ("link", "next_link"):
@@ -597,6 +607,23 @@ def test_union_blocks_match_their_solo_runs(seed, k, n, d_min, dt, empty):
         assert (union.rngs[b].bit_generator.state
                 == sim.rngs[0].bit_generator.state)
     assert union.min_gap == min(sim.min_gap for sim in solo)
+
+
+def test_sim_validates_every_block():
+    # three blocks of the 2x2 grid; the second gets a part built for 3x3
+    rng = np.random.default_rng(15)
+    p = OVParams()
+    net = random_lattice(rng, 2)
+    blocks = [random_block(rng, net, p) for _ in range(3)]
+    block_sim(net, blocks, p, 0)
+    wrong = random_block(rng, random_lattice(rng, 3), p)
+    for i in (0, 1):    # the turn table, then the phase bank
+        parts = [list(b) for b in blocks]
+        parts[1][i] = wrong[i]
+        with pytest.raises(ValueError, match="size"):
+            block_sim(net, parts, p, 0)
+    with pytest.raises(ValueError, match="one agent state"):
+        AgentSim(net, *zip(*blocks), p, [np.random.default_rng(0)] * 2)
 
 
 # --- the cached segment index vs one rebuilt every substep ---------------------
@@ -611,22 +638,6 @@ class FreshIndexSim(AgentSim):
         super()._substep(go)
 
 
-def filled_block(rng, n, params, fill):
-    """A random block whose links hold random counts of agents, as many as
-    their length takes (so entries get blocked when d_min > 0), or none."""
-    if fill != "full":
-        return random_block(rng, n, params, empty=fill == "empty")
-    n_links = 4 * n * (n - 1)
-    lengths = rng.uniform(3.0, 20.0, n_links)
-    net = build_lattice(n, lengths)
-    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
-    nj = net.n_junctions
-    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj))
-    counts = np.floor(lengths / max(params.d_min, 0.2)).astype(int) - 1
-    state = init_agents(net, table, rng, per_link=counts, params=params)
-    return net, table, bank, state
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
        fills=st.lists(st.sampled_from(["random", "full", "empty"]),
@@ -636,15 +647,10 @@ def filled_block(rng, n, params, fill):
 def test_the_cached_index_is_never_stale(seed, n, fills, d_min, dt):
     rng = np.random.default_rng(seed)
     p = OVParams(dt=dt, d_min=d_min)
-    blocks = [filled_block(rng, n, p, fill) for fill in fills]
-
-    def sim(cls):
-        sims = [cls(net, table, copy.deepcopy(bank), state.copy(), p,
-                    np.random.default_rng((seed, b)))
-                for b, (net, table, bank, state) in enumerate(blocks)]
-        return cls.union(sims) if len(sims) > 1 else sims[0]
-
-    cached, fresh = sim(AgentSim), sim(FreshIndexSim)
+    net = random_lattice(rng, n)
+    blocks = [random_block(rng, net, p, fill) for fill in fills]
+    cached = block_sim(net, blocks, p, seed)
+    fresh = block_sim(net, blocks, p, seed, cls=FreshIndexSim)
     got, want = cached.run(40), fresh.run(40)
     for name in ("u", "k"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -661,16 +667,14 @@ def test_split_runs_equal_one_run(k):
     # run(a) then run(b) resumes the clock, phases, agents and rngs
     rng = np.random.default_rng(16)
     p = OVParams(dt=0.25)
-    blocks = [random_block(rng, 2, p) for _ in range(k)]
+    net = random_lattice(rng, 2)
+    blocks = [random_block(rng, net, p) for _ in range(k)]
     inputs = rng.normal(size=30)
 
     def sim():
-        sims = [AgentSim(net, table, copy.deepcopy(bank), state.copy(), p,
-                         np.random.default_rng((16, b)))
-                for b, (net, table, bank, state) in enumerate(blocks)]
-        for s in sims:
-            s.bank.win = np.full(s.net.n_junctions, 0.4)
-        return AgentSim.union(sims) if k > 1 else sims[0]
+        s = block_sim(net, blocks, p, 16)
+        s.bank.win = np.full(s.net.n_junctions, 0.4)
+        return s
 
     whole, parts = sim(), sim()
     ref = whole.run(30, inputs)
@@ -684,21 +688,6 @@ def test_split_runs_equal_one_run(k):
                               getattr(whole.state, name)), name
     assert [r.bit_generator.state for r in parts.rngs] == \
         [r.bit_generator.state for r in whole.rngs]
-
-
-def test_union_refuses_blocks_out_of_step():
-    net, table, bank, state = random_block(np.random.default_rng(15), 2, OVParams())
-
-    def sim(params):
-        return AgentSim(net, table, bank.copy(), state.copy(), params,
-                        np.random.default_rng(0))
-
-    ahead = sim(OVParams())
-    ahead.run(1)
-    with pytest.raises(ValueError, match="time"):
-        AgentSim.union([sim(OVParams()), ahead])
-    with pytest.raises(ValueError, match="params"):
-        AgentSim.union([sim(OVParams()), sim(OVParams(dt=0.5))])
 
 
 def ring_state(ring, placed):
@@ -764,7 +753,7 @@ def test_busy_network_conserves_agents_and_spacing():
     p = OVParams()
     st = init_agents(net, table, rng, per_link=10, params=p)
     total = st.count
-    sim = AgentSim(net, table, bank, st, p, rng)
+    sim = AgentSim(net, [table], [bank], [st], p, [rng])
     traj = sim.run(300)
     assert sim.state.count == total
     assert sim.min_gap >= p.d_min - 1e-9
@@ -787,8 +776,10 @@ def test_speed_stays_below_the_one_link_bound(a):
     # keeps every speed below max(1, a dt) v_scale, also where a dt > 1
     # overshoots the optimal velocity; dt = 1, so each step is one substep
     p = OVParams(a=a, dt=1.0, v_scale=3.0)
-    net, table, bank, state = random_block(np.random.default_rng(17), 3, p)
-    sim = AgentSim(net, table, bank, state, p, np.random.default_rng(17))
+    rng = np.random.default_rng(17)
+    net = random_lattice(rng, 3)
+    table, bank, state = random_block(rng, net, p)
+    sim = AgentSim(net, [table], [bank], [state], p, [np.random.default_rng(17)])
     top = 0.0
     for _ in range(150):
         sim.run(1)
@@ -803,7 +794,7 @@ def test_same_seed_reproduces_the_trajectory():
         table = assign_turn_table(net, (0.2, 0.3, 0.5), rng)
         bank = PhaseBank(50.0, rng.uniform(0.0, TWO_PI, net.n_junctions))
         st = init_agents(net, table, rng, per_link=6)
-        sim = AgentSim(net, table, bank, st, OVParams(), rng)
+        sim = AgentSim(net, [table], [bank], [st], OVParams(), [rng])
         traj = sim.run(120)
         return traj, sim.state
 

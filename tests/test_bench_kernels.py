@@ -53,6 +53,15 @@ def test_bench_kernels_runs_and_reports_every_row(tmp_path, capsys):
     assert startup["ms"]["median"] > 0 and startup["peak_rss_mb"] > 0
 
 
+def test_bench_kernels_times_the_writer(tmp_path):
+    out = tmp_path / "bench.json"
+    _bench().main(["--agents-n", "", "--density-n", "", "--union-k", "",
+                   "--write-steps", "3", "--json", str(out)])
+    writer, = json.loads(out.read_text())["writer"]
+    assert writer["n"] == 40 and writer["rows"] == 3
+    assert writer["pinned"]["median"] > 0 and writer["unpinned"]["median"] > 0
+
+
 def _ordered(s):
     return s["q1"] <= s["median"] <= s["q3"]
 

@@ -68,7 +68,7 @@ def step(q, go, net, table):
 def first_inflows(q, net, table):
     """The junction inflows u that a run records before its first step."""
     bank = PhaseBank(100.0, np.zeros(net.n_junctions))
-    return DensitySim(net, table, bank, q).run(1).u[0]
+    return DensitySim(net, [table], [bank], [q]).run(1).u[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -117,7 +117,7 @@ def test_scatter_step_is_bitwise_the_dense_product(n):
     rate = np.minimum(inv_len, 1.0)
     tmat = table.matrix()
     ref_bank = bank.copy()
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     q_ref = q0.copy()
     for t in range(100):
         u_ref = np.bincount(net.link_to, weights=q_ref * inv_len,
@@ -137,7 +137,7 @@ def test_density_sim_never_builds_the_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(TurnTable, "matrix", forbidden)
     net, table, bank, q0 = make_system(4, seed=3)
-    DensitySim(net, table, bank, q0).run(20)
+    DensitySim(net, [table], [bank], [q0]).run(20)
     run_simulation(config_from_dict({"model": "density", "n": 3, "steps": 20}))
 
 
@@ -146,7 +146,7 @@ def test_density_sim_never_builds_the_dense_matrix(monkeypatch):
 @pytest.mark.parametrize("n", [3, 5])
 def test_closed_system_conserves_mass(n):
     net, table, bank, q0 = make_system(n, seed=n)
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     total0 = sim.q.sum()
     sim.run(10_000)
     assert abs(sim.q.sum() - total0) <= 1e-9 * total0
@@ -156,7 +156,7 @@ def test_closed_system_conserves_mass(n):
 def test_conservation_with_short_links():
     # rate saturates at min(Q/L, Q) = Q for L < 1; mass must still balance
     net, table, bank, q0 = make_system(3, seed=9, link_length=0.25)
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     total0 = sim.q.sum()
     sim.run(2_000)
     assert abs(sim.q.sum() - total0) <= 1e-9 * total0
@@ -172,7 +172,7 @@ def test_single_loaded_link_discharges_by_turn_weights():
     q0 = np.zeros(net.n_links)
     east = net.link_index(0, 1)
     q0[east] = 0.6
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     traj = sim.run(1)
     # the record is pre-movement: destination junction sees k = Q/L = 0.6
     assert traj.u[0, 1] == pytest.approx(0.6)
@@ -192,7 +192,7 @@ def test_gated_link_holds_its_content():
     assert bool(net.link_axis_ns[north])
     q0 = np.zeros(net.n_links)
     q0[north] = 1.3
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     assert not link_go(bank.theta, net)[north]
     traj = sim.run(1)
     assert sim.q[north] == 1.3
@@ -203,8 +203,8 @@ def test_gated_link_holds_its_content():
 
 def test_step_is_linear_in_the_content_vector():
     net, table, bank, q0 = make_system(3, seed=5)
-    sim1 = DensitySim(net, table, bank.copy(), q0)
-    sim2 = DensitySim(net, table, bank.copy(), 2.0 * q0)
+    sim1 = DensitySim(net, [table], [bank.copy()], [q0])
+    sim2 = DensitySim(net, [table], [bank.copy()], [2.0 * q0])
     sim1.run(500)
     sim2.run(500)
     assert sim2.q == pytest.approx(2.0 * sim1.q, rel=1e-12)
@@ -215,7 +215,7 @@ def test_trajectory_matches_dense_operator_products():
     rate = np.minimum(1.0 / net.length, 1.0)
     tmat = table.matrix()
     ref_bank = bank.copy()
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     q_ref = q0.copy()
     for t in range(300):
         go = link_go(ref_bank.theta, net).astype(float)
@@ -230,7 +230,7 @@ def test_trajectory_matches_dense_operator_products():
 
 def test_run_collects_pre_movement_snapshots():
     net, table, bank, q0 = make_system(3, seed=7)
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     traj = sim.run(40)
     assert traj.t0 == 0
     assert traj.steps == 40
@@ -245,14 +245,25 @@ def test_run_collects_pre_movement_snapshots():
 def test_sim_validates_inputs():
     net, table, bank, q0 = make_system(2, seed=8)
     with pytest.raises(ValueError):
-        DensitySim(net, table, bank, q0[:-1])
+        DensitySim(net, [table], [bank], [q0[:-1]])
     bad = q0.copy()
     bad[0] = -0.5
     with pytest.raises(ValueError):
-        DensitySim(net, table, bank, bad)
+        DensitySim(net, [table], [bank], [bad])
     small_bank = PhaseBank(100.0, np.zeros(3))
     with pytest.raises(ValueError):
-        DensitySim(net, table, small_bank, q0)
+        DensitySim(net, [table], [small_bank], [q0])
+    # every block is checked: three blocks, the third built for the 3x3 grid
+    _, *wrong = make_system(3, seed=8)
+    three = [table] * 3, [bank] * 3, [q0] * 3
+    DensitySim(net, *three)
+    for i, part in enumerate(wrong):    # turn table, phase bank, contents
+        parts = [list(p) for p in three]
+        parts[i][2] = part
+        with pytest.raises(ValueError, match="size|per link"):
+            DensitySim(net, *parts)
+    with pytest.raises(ValueError, match="per link"):
+        DensitySim(net, *three[:2], [q0] * 2)
 
 
 def test_split_runs_equal_one_run():
@@ -260,8 +271,8 @@ def test_split_runs_equal_one_run():
     net, table, bank, q0 = make_system(4, seed=11)
     inputs = np.random.default_rng(3).normal(size=90)
     bank.win = np.random.default_rng(4).uniform(-0.5, 0.5, net.n_junctions)
-    whole = DensitySim(net, table, bank.copy(), q0)
-    parts = DensitySim(net, table, bank.copy(), q0)
+    whole = DensitySim(net, [table], [bank.copy()], [q0])
+    parts = DensitySim(net, [table], [bank.copy()], [q0])
     ref = whole.run(90, inputs)
     got = [parts.run(a, inputs) for a in (0, 37, 1, 52)]
     assert [g.t0 for g in got] == [0, 0, 37, 38]
@@ -274,9 +285,9 @@ def test_split_runs_equal_one_run():
 
 def test_lean_run_stores_only_its_links(tmp_path):
     net, table, bank, q0 = make_system(3, seed=12)
-    full = DensitySim(net, table, bank.copy(), q0).run(60)
+    full = DensitySim(net, [table], [bank.copy()], [q0]).run(60)
     links = [5, 0, 17]
-    lean = DensitySim(net, table, bank.copy(), q0).run(60, links=links)
+    lean = DensitySim(net, [table], [bank.copy()], [q0]).run(60, links=links)
     assert lean.k.shape == (60, 3)
     assert lean.u.tobytes() == full.u.tobytes()
     assert lean.theta.tobytes() == full.theta.tobytes()
@@ -286,13 +297,13 @@ def test_lean_run_stores_only_its_links(tmp_path):
         lean.density(1)
     with pytest.raises(ValueError, match="every link"):
         lean.write_csv(tmp_path / "trajectory.csv", net)
-    none = DensitySim(net, table, bank.copy(), q0).run(60, links=[])
+    none = DensitySim(net, [table], [bank.copy()], [q0]).run(60, links=[])
     assert none.k.shape == (60, 0)
 
 
 def test_observables_are_derived_with_the_per_step_association():
     net, table, bank, q0 = make_system(3, seed=13)
-    traj = DensitySim(net, table, bank, q0).run(50)
+    traj = DensitySim(net, [table], [bank], [q0]).run(50)
     x1, x2 = traj.observables()
     c, s = np.cos(traj.theta), np.sin(traj.theta)
     assert x1.tobytes() == (traj.u * c * c).tobytes()
@@ -306,7 +317,7 @@ def test_observables_are_derived_with_the_per_step_association():
 def test_non_finite_input_is_refused_before_the_first_step(monkeypatch):
     net, table, bank, q0 = make_system(3, seed=14)
     bank.win = np.full(net.n_junctions, 0.1)
-    sim = DensitySim(net, table, bank, q0)
+    sim = DensitySim(net, [table], [bank], [q0])
     steps = []
     monkeypatch.setattr(DensitySim, "step",
                         lambda self, go: steps.append(go))
@@ -316,24 +327,27 @@ def test_non_finite_input_is_refused_before_the_first_step(monkeypatch):
     assert sim.q.tobytes() == q0.tobytes()
 
 
-# --- disjoint unions of blocks vs solo runs ----------------------------------
+# --- blocks of one sim vs solo runs ------------------------------------------
 
-def random_block(rng, n, with_input):
-    """Network (some links shorter than 1), turn table, phase bank
-    (per-junction tau, input weights if asked) and contents of one random
-    block."""
+def random_blocks(rng, n, k, with_input):
+    """A lattice (some links shorter than 1) and, for each of k random
+    blocks on it, a turn table, a phase bank (per-junction tau, input weights
+    if asked) and contents."""
     n_links = 4 * n * (n - 1)
     net = build_lattice(n, rng.uniform(0.2, 3.0, n_links))
-    table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
     nj = net.n_junctions
-    bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
-                     win=rng.uniform(-0.5, 0.5, nj) if with_input else None)
-    return net, table, bank, init_density(net, float(n_links), rng)
+    blocks = []
+    for _ in range(k):
+        table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
+        bank = PhaseBank(rng.uniform(5.0, 60.0, nj), rng.uniform(0.0, TWO_PI, nj),
+                         win=rng.uniform(-0.5, 0.5, nj) if with_input else None)
+        blocks.append((table, bank, init_density(net, float(n_links), rng)))
+    return net, blocks
 
 
-def block_sims(blocks):
-    return [DensitySim(net, table, bank.copy(), q0)
-            for net, table, bank, q0 in blocks]
+def block_sim(net, blocks):
+    """One sim of the blocks, side by side; it copies their parts."""
+    return DensitySim(net, *zip(*blocks))
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,15 +356,15 @@ def block_sims(blocks):
 def test_density_union_blocks_match_their_solo_runs(seed, k, n, with_input,
                                                     lean):
     rng = np.random.default_rng(seed)
-    blocks = [random_block(rng, n, with_input) for _ in range(k)]
+    net, blocks = random_blocks(rng, n, k, with_input)
     steps = 60
     inputs = rng.normal(size=steps) if with_input else None
-    n_links = 4 * n * (n - 1)
+    n_links = net.n_links
     links = rng.choice(n_links, rng.integers(0, 4), replace=False) \
         if lean else None
-    solo = block_sims(blocks)
+    solo = [block_sim(net, [block]) for block in blocks]
     solo_trajs = [sim.run(steps, inputs, links) for sim in solo]
-    union = DensitySim.union(block_sims(blocks))
+    union = block_sim(net, blocks)
     trajs = union.split(union.run(steps, inputs, links))
     assert union.blocks == len(trajs) == k
     nj = n * n
@@ -363,7 +377,7 @@ def test_density_union_blocks_match_their_solo_runs(seed, k, n, with_input,
             assert np.array_equal(got.links, ref.links)
         else:
             assert got.links is None
-        # block b holds links [b * n_links, (b + 1) * n_links) of the union
+        # block b holds links [b * n_links, (b + 1) * n_links) of the sim
         mine = slice(b * n_links, (b + 1) * n_links)
         assert union.q[mine].tobytes() == sim.q.tobytes()
         junctions = slice(b * nj, (b + 1) * nj)
@@ -373,10 +387,10 @@ def test_density_union_blocks_match_their_solo_runs(seed, k, n, with_input,
 def test_density_union_split_runs_equal_one_run():
     # run(a) then run(b) resumes the clock, the phases and the content
     rng = np.random.default_rng(17)
-    blocks = [random_block(rng, 3, True) for _ in range(3)]
+    net, blocks = random_blocks(rng, 3, 3, True)
     inputs = rng.normal(size=90)
-    whole = DensitySim.union(block_sims(blocks))
-    parts = DensitySim.union(block_sims(blocks))
+    whole = block_sim(net, blocks)
+    parts = block_sim(net, blocks)
     ref = whole.run(90, inputs, links=[4, 1])
     got = [parts.run(a, inputs, links=[4, 1]) for a in (37, 0, 53)]
     assert [g.t0 for g in got] == [0, 37, 37]
@@ -385,10 +399,6 @@ def test_density_union_split_runs_equal_one_run():
         assert joined.tobytes() == getattr(ref, name).tobytes(), name
     assert parts.q.tobytes() == whole.q.tobytes()
     assert parts.bank.theta.tobytes() == whole.bank.theta.tobytes()
-    ahead = block_sims(blocks[:1])[0]
-    ahead.run(1)
-    with pytest.raises(ValueError, match="time"):
-        DensitySim.union(block_sims(blocks[1:]) + [ahead])
 
 
 # --- block-wise recording --------------------------------------------------------
@@ -412,30 +422,28 @@ def per_step_record(sim, steps, links=None):
 
 
 def recorded_sims(model, rng, n, k):
-    """Two equal union sims of k random blocks of an n x n lattice."""
+    """Two equal sims of k random blocks of one n x n lattice."""
     params = OVParams(dt=0.25)
-    blocks = []
+    net = build_lattice(n, rng.uniform(3.0, 20.0, 4 * n * (n - 1)))
+    tables, banks, states, seeds = [], [], [], []
     for _ in range(k):
-        net = build_lattice(n, rng.uniform(3.0, 20.0, 4 * n * (n - 1)))
-        table = assign_turn_table(net, rng.dirichlet(np.ones(3)), rng)
-        bank = PhaseBank(rng.uniform(5.0, 60.0, n * n),
-                         rng.uniform(0.0, TWO_PI, n * n))
+        tables.append(assign_turn_table(net, rng.dirichlet(np.ones(3)), rng))
+        banks.append(PhaseBank(rng.uniform(5.0, 60.0, n * n),
+                               rng.uniform(0.0, TWO_PI, n * n)))
         if model == "agents":
-            state = init_agents(net, table, rng, per_link=int(rng.integers(0, 6)),
-                                params=params)
+            states.append(init_agents(net, tables[-1], rng,
+                                      per_link=int(rng.integers(0, 6)),
+                                      params=params))
         else:
-            state = init_density(net, float(net.n_links), rng)
-        blocks.append((net, table, bank, state, int(rng.integers(2**32))))
+            states.append(init_density(net, float(net.n_links), rng))
+        seeds.append(int(rng.integers(2**32)))
 
-    def union():
+    def sim():
         if model == "agents":
-            return AgentSim.union([
-                AgentSim(net, table, bank.copy(), state.copy(), params,
-                         np.random.default_rng(seed))
-                for net, table, bank, state, seed in blocks])
-        return DensitySim.union([DensitySim(net, table, bank.copy(), q0)
-                                 for net, table, bank, q0, _ in blocks])
-    return union(), union()
+            return AgentSim(net, tables, banks, states, params,
+                            [np.random.default_rng(seed) for seed in seeds])
+        return DensitySim(net, tables, banks, states)
+    return sim(), sim()
 
 
 # n = 1 (agents only) has no links; rows small enough that runs cross blocks

@@ -1,6 +1,7 @@
 """Experiment drivers: unit selection, lag diagnostic, trials, sweeps."""
 
 import dataclasses
+import json
 import pathlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from trafficrc import tasks
 from trafficrc.agents import AgentSim
+from trafficrc.cli import main
 from trafficrc.density import DensitySim
 from trafficrc.io import ConfigError, config_from_dict, load_config
 from trafficrc.lattice import build_lattice
@@ -479,6 +481,26 @@ def test_prediction_on_a_single_junction_is_refused(sim_runs, kind):
     with pytest.raises(ConfigError, match="'n'"):
         run_experiment(cfg)
     assert sim_runs == []
+
+
+def test_agents_without_agents_are_refused_before_simulating(
+        sim_runs, tmp_path, capsys):
+    # with no agent every road stays empty, so the teacher would be constant
+    data = {"model": "agents", "n": 2, "agents_per_link": 0, "M": 3, "T": 2,
+            "washout": 15, "train": 80, "test": 40, "trials": 2}
+    with pytest.raises(ConfigError, match="'agents_per_link'"):
+        sweep(config_from_dict(data), "M", [3, 5])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["task1-agents", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"].startswith("config key 'agents_per_link'")
+    assert sim_runs == []
+    # a simulation of empty roads stays allowed
+    net, traj = run_simulation(config_from_dict(dict(data, steps=5)))
+    assert sim_runs == [5] and not traj.k.any()
 
 
 @pytest.mark.parametrize("kind", ["density", "agents", "series"])
